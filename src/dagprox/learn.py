@@ -21,7 +21,7 @@ from scipy.special import expit
 from .diagnostics import ConvergenceTrace, TraceRecord
 from .errors import DimensionMismatch, InnerSolverWarning, NonFiniteInput
 from .graph import Dag, GroupSet, ancestor_groups, check_hierarchy_conformance
-from .kernels import LatentPenaltyEvaluator, ProxInstance, SumOperator
+from .kernels import LatentPenaltyEvaluator, ProxInstance, SumOperator, penalty_value
 from .solvers import SolveOptions, prox_log_admm_sharing
 
 __all__ = [
@@ -220,10 +220,16 @@ def fit(
     Notes
     -----
     The outer stopping rule is the gradient-mapping norm
-    ``||beta - prox(beta - s grad)|| / s <= outer.tol``.  The trace
-    objective is ``L(beta) + lam * Omega(beta)`` with the penalty term
-    evaluated to high accuracy.  An inner solve that exhausts its
-    iteration budget raises :class:`InnerSolverWarning` and the outer
+    ``||beta - prox(beta - s grad)|| / s <= outer.tol``.  Each trace point
+    is ``L(beta) + lam * sum_g w_g ||x_g||`` on the inner solve's latent
+    ``x``, an exact decomposition of ``beta`` (``M x = beta``) that is
+    optimal for its own ``beta`` up to the inner tolerance.  Trace points
+    are therefore upper bounds on ``L(beta) + lam * Omega(beta)``, tight to
+    the inner tolerance schedule; early points may exceed it by up to
+    about ``tol_k``.  ``FitResult.objective`` is certified by one
+    high-accuracy :class:`LatentPenaltyEvaluator` solve on the final
+    ``beta``, warm-started from its latent.  An inner solve that exhausts
+    its iteration budget raises :class:`InnerSolverWarning` and the outer
     loop continues with the inexact prox.
     """
     if lam < 0:
@@ -255,11 +261,6 @@ def fit(
 
     trace = ConvergenceTrace()
     t0 = time.perf_counter()
-    penalty = LatentPenaltyEvaluator(group_set)
-    latent_hint = None
-
-    def full_objective(beta) -> float:
-        return loss.value(beta) + penalty.value(beta, lam, latent_hint=latent_hint)
 
     beta = np.zeros(d)
     point = beta.copy()
@@ -269,18 +270,17 @@ def fit(
     status = "max_iter"
     k = 0
 
-    def record(k, beta, measure):
-        if outer.trace_every and k % outer.trace_every == 0:
-            trace.append(
-                TraceRecord(
-                    iter=k,
-                    wall_s=time.perf_counter() - t0,
-                    objective=full_objective(beta),
-                    primal_res=0.0,
-                    dual_res=0.0,
-                    proxgrad_norm=measure,
-                )
+    def record(k, beta, latent, measure):
+        trace.append(
+            TraceRecord(
+                iter=k,
+                wall_s=time.perf_counter() - t0,
+                objective=loss.value(beta) + penalty_value(latent, group_set, lam),
+                primal_res=0.0,
+                dual_res=0.0,
+                proxgrad_norm=measure,
             )
+        )
 
     for k in range(1, outer.max_iter + 1):
         grad = np.asarray(loss.gradient(point), dtype=float)
@@ -303,7 +303,6 @@ def fit(
         res = prox_log_admm_sharing(prox_inst, inner_opts, state=inner_state)
         inner_total += res.iterations
         inner_state = res.state
-        latent_hint = res.x  # feasible decomposition of the new point
         if not res.converged and tol_k <= outer.inner_tol_floor:
             warnings.warn(
                 f"inner prox hit max_iter={inner_opts.max_iter} at floor tolerance "
@@ -322,22 +321,14 @@ def fit(
         else:
             point = beta_new
         beta = beta_new
-        record(k, beta, measure)
+        if outer.trace_every and k % outer.trace_every == 0:
+            record(k, beta, res.x, measure)
         if measure <= outer.tol:
             status = "converged"
             break
 
     if outer.trace_every and (not trace.records or trace.records[-1].iter != k):
-        trace.append(
-            TraceRecord(
-                iter=k,
-                wall_s=time.perf_counter() - t0,
-                objective=full_objective(beta),
-                primal_res=0.0,
-                dual_res=0.0,
-                proxgrad_norm=measure,
-            )
-        )
+        record(k, beta, res.x, measure)
 
     support = np.flatnonzero(np.abs(beta) > outer.support_threshold)
     hierarchy = (
@@ -345,9 +336,10 @@ def fit(
         if dag is not None
         else None
     )
+    penalty = LatentPenaltyEvaluator(group_set).value(beta, lam, latent_hint=res.x)
     return FitResult(
         beta=beta,
-        objective=full_objective(beta),
+        objective=loss.value(beta) + penalty,
         status=status,
         outer_iterations=k,
         inner_iters=inner_total,

@@ -29,6 +29,7 @@ feasibility residual ``||x1 - x2||`` to zero at a linear rate in practice.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -192,6 +193,11 @@ class _Tracer:
         )
 
 
+def _norm(v: np.ndarray) -> float:
+    """``||v||_2`` as the same dot-then-sqrt as ``np.linalg.norm``, minus its dispatch."""
+    return math.sqrt(v @ v)
+
+
 def _check_finite(value: float, k: int, what: str) -> None:
     if not np.isfinite(value):
         raise NonFiniteIterate(f"{what} became non-finite at iteration {k}")
@@ -288,10 +294,11 @@ def _admm_loop(inst, opts, x2, y, update_x2, callback, scaled_dual=False):
         x1 = blockwise_soft_threshold(x2 - offset, thresholds, gs)
         x2_new = update_x2(x1, dual * rho if scaled_dual else dual)
         dual = dual + dual_step * (x1 - x2_new)
-        primal = float(np.linalg.norm(x1 - x2_new))
-        dual_res = float(rho * np.linalg.norm(x2_new - x2))
+        primal = _norm(x1 - x2_new)
+        dual_res = rho * _norm(x2_new - x2)
         x2 = x2_new
-        _check_finite(primal + dual_res, k, "ADMM iterate")
+        if not math.isfinite(primal + dual_res):
+            _check_finite(primal + dual_res, k, "ADMM iterate")
         if callback is not None:
             callback(k, x1, x2, dual * rho if scaled_dual else dual)
         tracer.record(k, x1, primal, dual_res)

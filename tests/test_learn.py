@@ -190,24 +190,79 @@ class TestFit:
         assert result.inner_iters > 0
         assert result.outer_trace.records[-1].iter == result.outer_iterations
 
+    def test_trace_does_not_feed_back(self, small_problem):
+        dag, loss = small_problem
+        lam = 0.1 * dp.lambda_max(loss, dag)
+        traced = dp.fit(loss, dag, lam, outer=dp.OuterOptions(trace_every=1))
+        untraced = dp.fit(loss, dag, lam, outer=dp.OuterOptions(trace_every=0))
+        assert len(traced.outer_trace.records) == traced.outer_iterations
+        assert not untraced.outer_trace.records
+        assert np.array_equal(traced.beta, untraced.beta)
+        assert np.array_equal(traced.support, untraced.support)
+        assert traced.outer_iterations == untraced.outer_iterations
+        assert traced.inner_iters == untraced.inner_iters
+        # the certifying evaluator runs once per fit from the same state
+        assert traced.objective == untraced.objective
+
+
+@pytest.fixture(scope="module")
+def chain_path(fixtures_dir):
+    """The chain20 10-lambda sweep, with the point of every outer step."""
+    design = dp.learn.load_design_matrix(fixtures_dir / "chain20_design.csv")
+    response = dp.learn.load_response(fixtures_dir / "chain20_response.csv")
+    dag = dp.read_edge_list(fixtures_dir / "chain20_graph.txt")
+    loss = dp.LeastSquaresLoss(design, response)
+    inner_solve = dp.learn.prox_log_admm_sharing
+    points = []  # one list of outer-step points per fit
+
+    def recording_solve(*args, **kwargs):
+        res = inner_solve(*args, **kwargs)
+        points[-1].append(res.beta)
+        return res
+
+    lam_hi = dp.lambda_max(loss, dag)
+    sweep = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dp.learn, "prox_log_admm_sharing", recording_solve)
+        for lam in lam_hi * np.logspace(-3, 0, 10):
+            points.append([])
+            sweep.append((lam, dp.fit(loss, dag, lam), points[-1]))
+    return dag, loss, sweep
+
 
 class TestChainRecoveryFixture:
-    def test_sweep_recovers_hierarchical_support(self, fixtures_dir):
-        design = dp.learn.load_design_matrix(fixtures_dir / "chain20_design.csv")
-        response = dp.learn.load_response(fixtures_dir / "chain20_response.csv")
+    def test_sweep_recovers_hierarchical_support(self, fixtures_dir, chain_path):
         truth = np.loadtxt(fixtures_dir / "chain20_truth.csv")
-        dag = dp.read_edge_list(fixtures_dir / "chain20_graph.txt")
-        loss = dp.LeastSquaresLoss(design, response)
         true_support = set(np.flatnonzero(np.abs(truth) > 0).tolist())
 
-        lam_hi = dp.lambda_max(loss, dag)
+        _, _, sweep = chain_path
         found = False
-        for lam in lam_hi * np.logspace(-3, 0, 10):
-            result = dp.fit(loss, dag, lam)
+        for _, result, _ in sweep:
             assert result.hierarchy.num_violations == 0
             if true_support <= set(result.support.tolist()):
                 found = True
         assert found
+
+    def test_latent_trace_objective_within_inner_tolerance(self, chain_path):
+        # Each trace point takes Omega from the prox latent, an exact
+        # decomposition of beta, so it may not undercut the certified value
+        # by more than the evaluator's own tolerance, and it is tight to the
+        # inner tolerance tol_k of its step.  On this path the relative gap
+        # lies in [-3.1e-10, 6.2e-4] and gap / tol_k peaks at 8.0
+        # (lambda = 1e-3 lambda_max, k = 5); C = 32 leaves a 4x margin.
+        dag, loss, sweep = chain_path
+        groups = dp.ancestor_groups(dag)
+        outer = dp.OuterOptions()
+        for lam, result, points in sweep:
+            records = result.outer_trace.records
+            assert len(records) == len(points) == result.outer_iterations
+            evaluator = dp.kernels.LatentPenaltyEvaluator(groups)
+            for rec, beta in zip(records, points):
+                certified = loss.value(beta) + evaluator.value(beta, lam)
+                gap = (rec.objective - certified) / max(1.0, abs(certified))
+                tol_k = max(outer.inner_tol_floor, outer.inner_tol_coeff / rec.iter**2)
+                assert gap >= -1e-9
+                assert gap <= 32.0 * tol_k
 
 
 class TestDataAndModelFiles:
