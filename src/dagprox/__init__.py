@@ -3,10 +3,10 @@
 Builds ancestor/descendant group systems from a DAG, evaluates the latent
 overlapping group (LOG) penalty and its proximal operator with five
 interchangeable solvers (block coordinate descent, its randomized variant,
-two-block ADMM with a dense factorization, the equivalent sharing-scheme
-ADMM, and ISTA/FISTA), certifies solutions through KKT residuals and
-proximal-gradient norms, and fits smooth losses regularized by the penalty
-with an outer proximal-gradient loop.
+the sharing-scheme ADMM, ISTA and FISTA), certifies solutions through KKT
+residuals and proximal-gradient norms, and fits smooth losses regularized
+by the penalty with an outer proximal-gradient loop.  A dense-factorization
+ADMM is kept as a test reference for the sharing solver.
 """
 
 from .errors import (
@@ -16,7 +16,6 @@ from .errors import (
     DimensionMismatch,
     DuplicateEdge,
     EmptyGroup,
-    FactorizationFailure,
     IndexOutOfRange,
     InnerSolverWarning,
     InsufficientData,
@@ -98,6 +97,6 @@ __all__ = [
     "bench",
     "DagproxError", "CycleDetected", "DuplicateEdge", "IndexOutOfRange",
     "EmptyGroup", "DimensionMismatch", "NonFiniteInput", "NonFiniteIterate",
-    "InvalidStep", "CapExceeded", "FactorizationFailure", "NoConvergence",
+    "InvalidStep", "CapExceeded", "NoConvergence",
     "InsufficientData", "InnerSolverWarning",
 ]

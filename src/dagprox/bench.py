@@ -146,9 +146,7 @@ class BenchmarkRun:
 def reference_solution(inst: ProxInstance, tol: float = 1e-12, max_iter: int = 500_000) -> ProxResult:
     """High-accuracy reference objective for gap curves and rate fits.
 
-    Runs the sharing solver at ``tol``; its iterates coincide with the
-    dense-factorization solver's step for step, so this is the cheap form
-    of the same reference at O(n) per iteration.
+    Runs the sharing solver at ``tol``, at O(n) per iteration.
     """
     opts = SolveOptions(
         tol_primal=tol, tol_dual=tol, tol_opt=tol, max_iter=max_iter, trace_every=0

@@ -221,13 +221,16 @@ def cmd_fit(loss_name, design, response, graph_path, groups_path, lam, lambda_fr
         )
     if (lam is None) == (lambda_frac is None):
         _usage("exactly one of --lambda or --lambda-frac is required")
+    try:
+        outer = OuterOptions(max_iter=max_iter, tol=tol)
+    except ValueError as exc:
+        _usage(str(exc))
 
     try:
         if lam is None:
             lam = lambda_frac * lambda_max(loss, dag if dag is not None else group_set)
         if lam < 0:
             _usage("--lambda must be nonnegative")
-        outer = OuterOptions(max_iter=max_iter, tol=tol)
         result = learn_fit(
             loss, dag if dag is not None else group_set, lam,
             outer=outer, accelerated=accelerated,

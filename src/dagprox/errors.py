@@ -38,11 +38,7 @@ class InvalidStep(DagproxError):
 
 
 class CapExceeded(DagproxError):
-    """Problem size exceeds the solver's factorization cap."""
-
-
-class FactorizationFailure(DagproxError):
-    """A dense factorization could not be computed."""
+    """Problem size exceeds the dense-materialization cap."""
 
 
 class NoConvergence(DagproxError):

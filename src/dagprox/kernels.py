@@ -14,15 +14,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
-from .errors import (
-    CapExceeded,
-    DimensionMismatch,
-    FactorizationFailure,
-    NoConvergence,
-    NonFiniteInput,
-)
+from .errors import CapExceeded, DimensionMismatch, NoConvergence, NonFiniteInput
 from .graph import GroupSet
 
 __all__ = [
@@ -39,7 +32,7 @@ __all__ = [
 ]
 
 #: largest stacked dimension for which a dense M may be materialized
-DENSE_CAP = 512
+DENSE_CAP = 4096
 
 
 class SumOperator:
@@ -55,8 +48,6 @@ class SumOperator:
         self.d = group_set.d
         self.n = group_set.n
         self._coords = group_set.stacked_coords
-        self._gram_cache: dict[float, tuple] = {}
-        self._norm_sq: Optional[float] = None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``M x``: length-``d`` sums of latent copies."""
@@ -76,41 +67,16 @@ class SumOperator:
         return self.group_set.cover_counts
 
     def dense(self) -> np.ndarray:
-        """Materialize ``M`` as a dense 0/1 matrix (testing only, n <= 512)."""
+        """Materialize ``M`` as a dense 0/1 matrix (testing only, n <= 4096)."""
         if self.n > DENSE_CAP:
             raise CapExceeded(f"dense M only for n <= {DENSE_CAP}, got n = {self.n}")
         m = np.zeros((self.d, self.n))
         m[self._coords, np.arange(self.n)] = 1.0
         return m
 
-    def gram_solver(self, rho: float):
-        """Cached Cholesky solve for ``(M^T M + rho I)``.
-
-        Returns a callable mapping a right-hand side to the solution.  The
-        dense Gram matrix is built and factored once per ``rho``; reuse
-        across solves with different ``b`` is what the cache buys.
-        """
-        rho = float(rho)
-        if rho not in self._gram_cache:
-            gram = (self._coords[:, None] == self._coords[None, :]).astype(float)
-            gram[np.diag_indices_from(gram)] += rho
-            try:
-                self._gram_cache[rho] = scipy.linalg.cho_factor(
-                    gram, check_finite=False
-                )
-            except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-                raise FactorizationFailure(str(exc)) from exc
-        factor = self._gram_cache[rho]
-        # rhs vectors are freshly built per iteration, so in-place solves are safe
-        return lambda rhs: scipy.linalg.cho_solve(
-            factor, rhs, overwrite_b=True, check_finite=False
-        )
-
-    def norm_sq(self, tol: float = 1e-10) -> float:
-        """Cached ``||M||_2^2``."""
-        if self._norm_sq is None:
-            self._norm_sq = operator_norm_sq(self, tol)
-        return self._norm_sq
+    def norm_sq(self) -> float:
+        """``||M||_2^2``; see :func:`operator_norm_sq`."""
+        return operator_norm_sq(self)
 
 
 @dataclass
@@ -333,24 +299,10 @@ def log_penalty_value(
     return LatentPenaltyEvaluator(group_set, tol=tol, max_iter=max_iter).value(beta, lam)
 
 
-def operator_norm_sq(operator: SumOperator, tol: float = 1e-10, max_iter: int = 10_000) -> float:
-    """``||M||_2^2`` via power iteration on ``M^T M`` with an all-ones start.
+def operator_norm_sq(operator: SumOperator) -> float:
+    """``||M||_2^2`` in closed form: the largest cover count.
 
-    The start vector has positive overlap with the top eigenvector since
-    ``M^T M`` is entrywise nonnegative.  Deterministic by construction.
+    ``M M^T = diag(c)`` with ``c`` the cover counts, and ``M^T M`` has the
+    same nonzero eigenvalues, so ``||M||_2^2 = max(c)`` (0 with no groups).
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    v = np.ones(operator.n)
-    lam_old = 0.0
-    for _ in range(max_iter):
-        w = operator.adjoint_apply(operator.apply(v))
-        nw = np.linalg.norm(w)
-        if nw == 0.0:  # pragma: no cover - requires an empty group set
-            return 0.0
-        v = w / nw
-        lam = float(v @ operator.adjoint_apply(operator.apply(v)))
-        if abs(lam - lam_old) <= tol * max(lam, 1e-300):
-            return lam
-        lam_old = lam
-    raise NoConvergence(f"power iteration did not converge in {max_iter} iterations")
+    return float(operator.cover_counts.max(initial=0))

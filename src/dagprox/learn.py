@@ -147,6 +147,14 @@ class OuterOptions:
     inner_tol_floor: float = 1e-10
     support_threshold: float = 1e-8
 
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be positive")
+        if self.tol < 0:
+            raise ValueError("tol must be nonnegative")
+        if self.trace_every < 0:
+            raise ValueError("trace_every must be nonnegative")
+
 
 @dataclass
 class FitResult:

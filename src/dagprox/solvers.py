@@ -11,19 +11,22 @@ the latent minimizer is not.
 * ``prox_log_bcd`` sweeps the groups Gauss-Seidel style, each block update
   being an exact group soft-threshold; the randomized variant reshuffles
   the sweep order every epoch.
-* ``prox_log_admm_unscaled`` splits ``x`` into two copies coupled by
-  ``x1 = x2`` and alternates a separable group prox, a dense solve against
-  the cached Cholesky factor of ``(M^T M + rho I)``, and the dual ascent
-  step ``y += alpha (x1 - x2)`` with ``0 < alpha < rho``.
-* ``prox_log_admm_sharing`` runs the *same* iteration without ever forming
-  an n-by-n system: because ``M M^T`` is diagonal, the coupled block solve
+* ``prox_log_admm_sharing`` splits ``x`` into two copies coupled by
+  ``x1 = x2`` and alternates a separable group prox, the coupled block
+  solve, and the dual ascent step ``y += alpha (x1 - x2)`` with
+  ``0 < alpha < rho``.  Because ``M M^T`` is diagonal, the coupled solve
   collapses to a d-dimensional consensus correction that is gathered from
-  and broadcast back to the groups.  Its iterates match the unscaled
-  solver's exactly, step for step.
+  and broadcast back to the groups; no n-by-n system is ever formed.
 * ``prox_log_pgm`` is ISTA (optionally FISTA) with the exact separable
   group prox; default step is ``1 / ||M||_2^2``.
 
-BCD and plain PGM decrease ``f`` monotonically; the ADMM variants drive the
+``prox_log_admm_unscaled`` is not one of the five: it is the dense
+reference the tests hold the sharing solver against.  It runs the same
+ADMM iteration with the coupled block solved against a Cholesky factor of
+``(M^T M + rho I)``, so its iterates must match the sharing solver's step
+for step.
+
+BCD and plain PGM decrease ``f`` monotonically; the ADMM drives the
 feasibility residual ``||x1 - x2||`` to zero at a linear rate in practice.
 """
 
@@ -35,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.linalg
 
 from .diagnostics import (
     ConvergenceTrace,
@@ -42,7 +46,7 @@ from .diagnostics import (
     objective_and_proxgrad,
     proxgrad_norm,
 )
-from .errors import CapExceeded, InvalidStep, NonFiniteIterate
+from .errors import InvalidStep, NonFiniteIterate
 from .kernels import (
     ProxInstance,
     blockwise_soft_threshold,
@@ -68,11 +72,10 @@ class SolveOptions:
     """Shared solver options.
 
     ``alpha`` is the ADMM dual step; it defaults to ``rho / 2`` and must
-    satisfy ``0 < alpha < rho`` for the ADMM variants.  ``tol_opt`` stops
+    satisfy ``0 < alpha < rho``.  ``tol_opt`` stops
     BCD/PGM on the proximal-gradient norm; ``tol_primal``/``tol_dual``
-    stop the ADMM variants on the feasibility residual and scaled dual
-    movement.  ``trace_every = 0`` disables tracing.  ``factor_cap`` bounds
-    the stacked dimension the unscaled solver will densely factor.
+    stop the ADMM on the feasibility residual and scaled dual movement.
+    ``trace_every = 0`` disables tracing.
     """
 
     rho: float = 1.0
@@ -83,7 +86,6 @@ class SolveOptions:
     tol_dual: float = 1e-8
     trace_every: int = 0
     seed: int = 0
-    factor_cap: int = 4096
 
     def __post_init__(self):
         if self.rho <= 0:
@@ -112,10 +114,10 @@ class SolveOptions:
 class SolverState:
     """Primal blocks, unscaled dual, and iteration counter of an ADMM run.
 
-    ``y`` is the unscaled multiplier; the sharing form works with the
-    scaled dual ``u = y / rho`` internally.  ``xbar2`` is the sharing
-    scheme's d-dimensional consensus vector (per-coordinate mean of the
-    ``x2`` copies); it is ``None`` for the unscaled solver.
+    ``y`` is the unscaled multiplier; the sharing solver works with the
+    scaled dual ``u = y / rho`` internally.  ``xbar2`` is the d-dimensional
+    consensus vector (per-coordinate mean of the ``x2`` copies); it is
+    ``None`` for the dense reference.
     """
 
     x1: np.ndarray
@@ -270,85 +272,6 @@ def prox_log_bcd(
     return _result(inst, x, status, k, tracer)
 
 
-def _admm_loop(inst, opts, x2, y, update_x2, callback, scaled_dual=False):
-    """Common ADMM driver; ``update_x2`` maps (x1, y) to the new x2 block.
-
-    With ``scaled_dual=True`` the loop stores ``u = y / rho`` and performs
-    the scaled update ``u += (alpha/rho)(x1 - x2)``; callbacks always
-    receive the unscaled ``y``.
-    """
-    alpha = opts.require_admm_steps()
-    rho = opts.rho
-    gs = inst.group_set
-    thresholds = inst.lam * gs.weights / rho
-    tracer = _Tracer(inst, opts.trace_every)
-
-    dual = y / rho if scaled_dual else y.copy()
-    dual_step = alpha / rho if scaled_dual else alpha
-    status = "max_iter"
-    k = 0
-    x1 = np.zeros_like(x2)
-    primal = dual_res = float("inf")
-    for k in range(1, opts.max_iter + 1):
-        offset = dual if scaled_dual else dual / rho
-        x1 = blockwise_soft_threshold(x2 - offset, thresholds, gs)
-        x2_new = update_x2(x1, dual * rho if scaled_dual else dual)
-        dual = dual + dual_step * (x1 - x2_new)
-        primal = _norm(x1 - x2_new)
-        dual_res = rho * _norm(x2_new - x2)
-        x2 = x2_new
-        if not math.isfinite(primal + dual_res):
-            _check_finite(primal + dual_res, k, "ADMM iterate")
-        if callback is not None:
-            callback(k, x1, x2, dual * rho if scaled_dual else dual)
-        tracer.record(k, x1, primal, dual_res)
-        if primal <= opts.tol_primal and dual_res <= opts.tol_dual:
-            status = "converged"
-            break
-    tracer.record(k, x1, primal, dual_res, final=True)
-    y_out = dual * rho if scaled_dual else dual
-    return x1, x2, y_out, status, k, tracer
-
-
-def prox_log_admm_unscaled(
-    inst: ProxInstance,
-    opts: Optional[SolveOptions] = None,
-    state: Optional[SolverState] = None,
-    callback: Optional[Callable] = None,
-) -> ProxResult:
-    """Two-block ADMM with a dense cached factorization of ``(M^T M + rho I)``.
-
-    The coupled block is solved exactly against the Cholesky factor, built
-    once per ``(operator, rho)`` and reused across calls.  Requires
-    ``n <= opts.factor_cap`` (default 4096).  Stops when
-    ``||x1 - x2|| <= tol_primal`` and ``rho ||x2_{k+1} - x2_k|| <= tol_dual``.
-
-    ``callback(k, x1, x2, y)`` fires after every dual update.
-    """
-    opts = opts or SolveOptions()
-    opts.require_admm_steps()
-    if inst.n > opts.factor_cap:
-        raise CapExceeded(
-            f"dense factorization capped at n <= {opts.factor_cap}, got n = {inst.n}"
-        )
-    solve = inst.operator.gram_solver(opts.rho)
-    mtb = inst.operator.adjoint_apply(inst.b)
-    rho = opts.rho
-
-    x2 = np.zeros(inst.n) if state is None else state.x2.copy()
-    y = np.zeros(inst.n) if state is None else state.y.copy()
-
-    def update_x2(x1, y_unscaled):
-        return solve(mtb + rho * x1 + y_unscaled)
-
-    x1, x2, y, status, k, tracer = _admm_loop(
-        inst, opts, x2, y, update_x2, callback, scaled_dual=False
-    )
-    return _result(
-        inst, x1, status, k, tracer, state=SolverState(x1=x1, x2=x2, y=y, k=k)
-    )
-
-
 def prox_log_admm_sharing(
     inst: ProxInstance,
     opts: Optional[SolveOptions] = None,
@@ -365,38 +288,97 @@ def prox_log_admm_sharing(
 
     computed entirely with gathers and scatters (cost O(n + d); nothing
     n-by-n is ever formed).  The per-group prox step is embarrassingly
-    parallel over groups.  Iterates coincide with the unscaled solver's at
-    every step; the dual is stored in scaled form ``u = y / rho``.
+    parallel over groups.  The dual is stored in scaled form ``u = y / rho``
+    and stepped by ``u += (alpha / rho)(x1 - x2)``.  Stops when
+    ``||x1 - x2|| <= tol_primal`` and ``rho ||x2_{k+1} - x2_k|| <= tol_dual``.
+
+    ``state`` warm-starts ``x2`` and ``y`` from an earlier run.
+    ``callback(k, x1, x2, y)`` fires after every dual update with the
+    unscaled ``y``.
     """
     opts = opts or SolveOptions()
-    opts.require_admm_steps()
+    alpha = opts.require_admm_steps()
+    rho = opts.rho
+    gs = inst.group_set
     op = inst.operator
     cover = op.cover_counts.astype(float)
     c_safe = np.where(cover > 0, cover, 1.0)
-    rho = opts.rho
+    thresholds = inst.lam * gs.weights / rho
     b = inst.b
+    tracer = _Tracer(inst, opts.trace_every)
 
     x2 = np.zeros(inst.n) if state is None else state.x2.copy()
-    y = np.zeros(inst.n) if state is None else state.y.copy()
-
-    def update_x2(x1, y_unscaled):
-        v = x1 + y_unscaled / rho
-        correction = (b - op.apply(v)) / (rho + c_safe)
-        return v + op.adjoint_apply(correction)
-
-    x1, x2, y, status, k, tracer = _admm_loop(
-        inst, opts, x2, y, update_x2, callback, scaled_dual=True
-    )
+    u = np.zeros(inst.n) if state is None else state.y / rho
+    x1 = np.zeros(inst.n)
+    dual_step = alpha / rho
+    status = "max_iter"
+    k = 0
+    primal = dual_res = float("inf")
+    for k in range(1, opts.max_iter + 1):
+        x1 = blockwise_soft_threshold(x2 - u, thresholds, gs)
+        v = x1 + u
+        x2_new = v + op.adjoint_apply((b - op.apply(v)) / (rho + c_safe))
+        u = u + dual_step * (x1 - x2_new)
+        primal = _norm(x1 - x2_new)
+        dual_res = rho * _norm(x2_new - x2)
+        x2 = x2_new
+        if not math.isfinite(primal + dual_res):
+            _check_finite(primal + dual_res, k, "ADMM iterate")
+        if callback is not None:
+            callback(k, x1, x2, u * rho)
+        tracer.record(k, x1, primal, dual_res)
+        if primal <= opts.tol_primal and dual_res <= opts.tol_dual:
+            status = "converged"
+            break
+    tracer.record(k, x1, primal, dual_res, final=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         xbar2 = np.where(cover > 0, op.apply(x2) / c_safe, 0.0)
-    return _result(
-        inst,
-        x1,
-        status,
-        k,
-        tracer,
-        state=SolverState(x1=x1, x2=x2, y=y, k=k, xbar2=xbar2),
-    )
+    final = SolverState(x1=x1, x2=x2, y=u * rho, k=k, xbar2=xbar2)
+    return _result(inst, x1, status, k, tracer, state=final)
+
+
+def prox_log_admm_unscaled(
+    inst: ProxInstance,
+    opts: Optional[SolveOptions] = None,
+    callback: Optional[Callable] = None,
+) -> ProxResult:
+    """Dense reference for :func:`prox_log_admm_sharing` (tests only).
+
+    The same two-block ADMM with the unscaled dual ``y += alpha (x1 - x2)``
+    and the coupled block solved against a Cholesky factor of
+    ``(M^T M + rho I)``, built from the dense ``M`` on every call.  Bounded
+    by :data:`~dagprox.kernels.DENSE_CAP`; same stopping rule and callback
+    as the sharing solver; no tracing and no warm start.
+    """
+    opts = opts or SolveOptions()
+    alpha = opts.require_admm_steps()
+    rho = opts.rho
+    m = inst.operator.dense()
+    gram = m.T @ m
+    gram[np.diag_indices_from(gram)] += rho
+    factor = scipy.linalg.cho_factor(gram, overwrite_a=True, check_finite=False)
+    mtb = m.T @ inst.b
+    thresholds = inst.lam * inst.group_set.weights / rho
+
+    x2, y = np.zeros(inst.n), np.zeros(inst.n)
+    status = "max_iter"
+    for k in range(1, opts.max_iter + 1):
+        x1 = blockwise_soft_threshold(x2 - y / rho, thresholds, inst.group_set)
+        x2_new = scipy.linalg.cho_solve(
+            factor, mtb + rho * x1 + y, overwrite_b=True, check_finite=False
+        )
+        y = y + alpha * (x1 - x2_new)
+        primal = float(np.linalg.norm(x1 - x2_new))
+        dual_res = rho * float(np.linalg.norm(x2_new - x2))
+        x2 = x2_new
+        _check_finite(primal + dual_res, k, "ADMM iterate")
+        if callback is not None:
+            callback(k, x1, x2, y)
+        if primal <= opts.tol_primal and dual_res <= opts.tol_dual:
+            status = "converged"
+            break
+    final = SolverState(x1=x1, x2=x2, y=y, k=k)
+    return _result(inst, x1, status, k, ConvergenceTrace(), state=final)
 
 
 def prox_log_pgm(
@@ -461,12 +443,11 @@ def _solve_fista(inst, opts=None, **kw):
     return prox_log_pgm(inst, opts, accelerated=True, **kw)
 
 
-SOLVER_NAMES = ("bcd", "rbcd", "admm", "sharing", "pgm", "fista")
+SOLVER_NAMES = ("bcd", "rbcd", "sharing", "pgm", "fista")
 
 _DISPATCH = {
     "bcd": prox_log_bcd,
     "rbcd": _solve_rbcd,
-    "admm": prox_log_admm_unscaled,
     "sharing": prox_log_admm_sharing,
     "pgm": prox_log_pgm,
     "fista": _solve_fista,

@@ -115,21 +115,16 @@ class TestProxCommand:
         assert result.exit_code == 2
 
     def test_solver_runtime_failure_exits_one(self, runner, tmp_path):
-        # n = 1 + 2*2100 > 4096 exceeds the dense-factorization cap
-        nodes = 2101
-        graph = tmp_path / "wide.txt"
-        with open(graph, "w") as fh:
-            fh.write(f"nodes {nodes}\n")
-            for i in range(1, nodes):
-                fh.write(f"0 {i}\n")
-        b = ",".join(["1.0"] * nodes)
+        # squared residuals of 1e200-sized iterates overflow to inf
+        graph = tmp_path / "chain.txt"
+        dp.write_edge_list(dp.validate_dag(3, [(0, 1), (1, 2)]), graph)
         result = runner.invoke(
             main,
-            ["prox", "--graph", str(graph), "--b", b, "--lambda", "0.5",
-             "--solver", "admm", "--max-iter", "10"],
+            ["prox", "--graph", str(graph), "--b", "1e200,1e200,1e200",
+             "--lambda", "0.5", "--solver", "sharing"],
         )
         assert result.exit_code == 1
-        assert "cap" in result.output.lower()
+        assert "non-finite" in result.output
 
 
 class TestFitCommand:
@@ -216,6 +211,19 @@ class TestFitCommand:
         )
         assert result.exit_code == 2
         assert "columns" in result.output
+
+    @pytest.mark.parametrize("flag", ["--max-iter=0", "--max-iter=-1", "--tol=-1"])
+    def test_bad_outer_options_are_usage_errors(self, runner, tmp_path, fig1b_graph, flag):
+        np.savetxt(tmp_path / "a.csv", np.eye(4), delimiter=",", fmt="%.17g")
+        np.savetxt(tmp_path / "y.csv", np.ones(4), delimiter=",")
+        result = runner.invoke(
+            main,
+            ["fit", "--loss", "least-squares", "--design", str(tmp_path / "a.csv"),
+             "--response", str(tmp_path / "y.csv"), "--graph", str(fig1b_graph),
+             "--lambda", "0.1", "--out", str(tmp_path / "model.txt"), flag],
+        )
+        assert result.exit_code == 2, result.output
+        assert not (tmp_path / "model.txt").exists()
 
 
 class TestProxBenchCommand:

@@ -51,7 +51,7 @@ class TestSumOperator:
         assert np.array_equal(op.dense(), dense_m(fig1b_groups))
 
     def test_dense_cap(self):
-        gs = dp.build_index_map([list(range(513))], d=513)
+        gs = dp.build_index_map([list(range(4097))], d=4097)
         with pytest.raises(dp.CapExceeded):
             dp.SumOperator(gs).dense()
 
@@ -256,11 +256,6 @@ class TestOperatorNorm:
         assert dp.operator_norm_sq(op) == pytest.approx(
             float(op.cover_counts.max()), rel=1e-9
         )
-
-    def test_bad_tol(self):
-        gs = dp.build_index_map([[0]], d=1)
-        with pytest.raises(ValueError):
-            dp.operator_norm_sq(dp.SumOperator(gs), tol=0.0)
 
 
 class TestProxInstance:

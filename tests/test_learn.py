@@ -178,6 +178,13 @@ class TestFit:
         with pytest.raises(ValueError):
             dp.fit(loss, dag, -1.0)
 
+    @pytest.mark.parametrize(
+        "field, value", [("max_iter", 0), ("max_iter", -1), ("tol", -1.0), ("trace_every", -1)]
+    )
+    def test_bad_outer_options_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            dp.OuterOptions(**{field: value})
+
     def test_gradient_dimension_checked(self):
         dag = chain_dag(3)
         loss = dp.LeastSquaresLoss(np.eye(4), np.zeros(4))

@@ -4,7 +4,8 @@ import pytest
 import dagprox as dp
 from dagprox.solvers import SOLVER_NAMES
 
-ADMM_SOLVERS = ("admm", "sharing")
+# the dense reference is reached directly: it is not a dispatchable solver
+ADMM_SOLVERS = {"admm": dp.prox_log_admm_unscaled, "sharing": dp.prox_log_admm_sharing}
 
 TIGHT = dp.SolveOptions(
     max_iter=200_000, tol_opt=1e-10, tol_primal=1e-10, tol_dual=1e-10
@@ -154,10 +155,10 @@ class TestIterateProperties:
 
     @pytest.mark.parametrize("method", ADMM_SOLVERS)
     def test_final_feasibility_residual(self, method, small_instance):
-        opts = dp.SolveOptions(max_iter=100_000, trace_every=1)
-        res = dp.solve_prox(small_instance, method, opts)
+        opts = dp.SolveOptions(max_iter=100_000)
+        res = ADMM_SOLVERS[method](small_instance, opts)
         assert res.converged
-        assert res.trace.records[-1].primal_res <= opts.tol_primal
+        assert np.linalg.norm(res.state.x1 - res.state.x2) <= opts.tol_primal
 
     def test_prox_nonexpansive_in_b(self, small_instance):
         gs = small_instance.group_set
@@ -186,15 +187,18 @@ class TestOptionsAndErrors:
     def test_invalid_dual_step(self, method, alpha, small_instance):
         opts = dp.SolveOptions(rho=1.0, alpha=alpha)
         with pytest.raises(dp.InvalidStep):
-            dp.solve_prox(small_instance, method, opts)
+            ADMM_SOLVERS[method](small_instance, opts)
 
     def test_default_alpha_is_half_rho(self):
         assert dp.SolveOptions(rho=2.0).resolved_alpha() == 1.0
 
-    def test_factor_cap(self, small_instance):
-        opts = dp.SolveOptions(factor_cap=4)
+    def test_factor_cap(self):
+        n = dp.kernels.DENSE_CAP + 1
+        inst = dp.ProxInstance(
+            b=np.ones(n), lam=0.5, group_set=dp.build_index_map([list(range(n))], d=n)
+        )
         with pytest.raises(dp.CapExceeded):
-            dp.prox_log_admm_unscaled(small_instance, opts)
+            dp.prox_log_admm_unscaled(inst)
 
     def test_negative_step_pgm(self, small_instance):
         with pytest.raises(dp.InvalidStep):
