@@ -23,6 +23,7 @@ __all__ = [
 ]
 
 TRACE_HEADER = ["iter", "wall_s", "objective", "primal_res", "dual_res", "proxgrad_norm"]
+_ROW_FORMAT = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
 
 
 class TraceRecord(NamedTuple):
@@ -44,7 +45,7 @@ class ConvergenceTrace:
     def append(self, record: TraceRecord) -> None:
         if self.records and record.iter <= self.records[-1].iter:
             raise ValueError("trace iterations must be strictly increasing")
-        if not all(math.isfinite(v) for v in record):
+        if not all(map(math.isfinite, record)):
             raise ValueError(f"non-finite trace record at iter {record.iter}")
         self.records.append(record)
         self._columns = None
@@ -74,10 +75,9 @@ class ConvergenceTrace:
     def write_csv(self, path) -> None:
         """Write the trace as CSV with 17-significant-digit floats."""
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(TRACE_HEADER)
-            for r in self.records:
-                writer.writerow([r.iter] + [f"{v:.17g}" for v in r[1:]])
+            fh.write(",".join(TRACE_HEADER) + "\n")
+            # streamed row by row: one joined string would hold the whole file
+            fh.writelines(_ROW_FORMAT % r for r in self.records)
 
     @classmethod
     def read_csv(cls, path) -> "ConvergenceTrace":
@@ -112,11 +112,10 @@ def proxgrad_norm(x: np.ndarray, inst: ProxInstance) -> float:
     if x.shape != (inst.n,):
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({inst.n},)")
     residual = inst.operator.apply(x) - inst.b
-    return _proxgrad_from_residual(x, residual, inst)
+    return _proxgrad_from_gradient(x, inst.operator.adjoint_apply(residual), inst)
 
 
-def _proxgrad_from_residual(x: np.ndarray, residual: np.ndarray, inst: ProxInstance) -> float:
-    grad = inst.operator.adjoint_apply(residual)
+def _proxgrad_from_gradient(x: np.ndarray, grad: np.ndarray, inst: ProxInstance) -> float:
     step_point = blockwise_soft_threshold(
         x - grad, inst.lam * inst.group_set.weights, inst.group_set
     )
@@ -125,8 +124,21 @@ def _proxgrad_from_residual(x: np.ndarray, residual: np.ndarray, inst: ProxInsta
 
 def objective_and_proxgrad(x: np.ndarray, inst: ProxInstance) -> tuple[float, float]:
     """Objective and unit-step proximal-gradient norm with one operator pass."""
+    obj, pg, _ = objective_proxgrad_and_gradient(x, inst)
+    return obj, pg
+
+
+def objective_proxgrad_and_gradient(
+    x: np.ndarray, inst: ProxInstance
+) -> tuple[float, float, np.ndarray]:
+    """:func:`objective_and_proxgrad` plus the smooth gradient ``M^T(M x - b)`` it used.
+
+    A proximal-gradient step from ``x`` needs exactly this gradient, so a
+    solver that tests optimality at its next gradient point takes it from here.
+    """
     obj, residual = objective_and_residual(x, inst)
-    return obj, _proxgrad_from_residual(x, residual, inst)
+    grad = inst.operator.adjoint_apply(residual)
+    return obj, _proxgrad_from_gradient(x, grad, inst), grad
 
 
 def kkt_residual(

@@ -10,6 +10,7 @@ ranges; a dense materialization exists for testing at small sizes only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -118,12 +119,13 @@ def group_soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     Returns ``0`` when ``||v|| <= t`` (single-valued at the boundary) and
     ``(1 - t/||v||) v`` otherwise.
     """
-    v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteInput("soft-threshold input contains non-finite entries")
-    if not (np.isfinite(t) and t >= 0):
+    if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"threshold must be finite and >= 0, got {t}")
+    v = np.asarray(v, dtype=float)
     nv = np.linalg.norm(v)
+    # a finite norm proves finite entries; an infinite one may be overflow
+    if not math.isfinite(nv) and not np.all(np.isfinite(v)):
+        raise NonFiniteInput("soft-threshold input contains non-finite entries")
     if nv <= t:
         return np.zeros_like(v)
     return (1.0 - t / nv) * v

@@ -18,7 +18,10 @@ the latent minimizer is not.
   collapses to a d-dimensional consensus correction that is gathered from
   and broadcast back to the groups; no n-by-n system is ever formed.
 * ``prox_log_pgm`` is ISTA (optionally FISTA) with the exact separable
-  group prox; default step is ``1 / ||M||_2^2``.
+  group prox; default step is ``1 / ||M||_2^2``.  ISTA's next gradient
+  point is its current iterate, so each step reuses the gradient that the
+  stopping test at that iterate already computed; FISTA evaluates its
+  gradient afresh at the extrapolated point.
 
 ``prox_log_admm_unscaled`` is not one of the five: it is the dense
 reference the tests hold the sharing solver against.  It runs the same
@@ -44,6 +47,7 @@ from .diagnostics import (
     ConvergenceTrace,
     TraceRecord,
     objective_and_proxgrad,
+    objective_proxgrad_and_gradient,
     proxgrad_norm,
 )
 from .errors import InvalidStep, NonFiniteIterate
@@ -256,14 +260,16 @@ def prox_log_bcd(
         for j in order:
             lo, hi = ranges[j]
             g = coords[j]
-            beta[g] -= x[lo:hi]
-            seg = group_soft_threshold(b_segments[j] - beta[g], thresholds[j])
+            # one gather and one scatter: a group's coordinates are distinct
+            rest = beta[g] - x[lo:hi]
+            seg = group_soft_threshold(b_segments[j] - rest, thresholds[j])
             x[lo:hi] = seg
-            beta[g] += seg
+            beta[g] = rest + seg
         beta = op.apply(x)  # resync: incremental updates accumulate rounding
         obj, measure = objective_and_proxgrad(x, inst)
         computed = (obj, measure)
-        _check_finite(measure, k, "BCD iterate")
+        if not math.isfinite(measure):
+            _check_finite(measure, k, "BCD iterate")
         tracer.record(k, x, 0.0, 0.0, computed=computed)
         if measure <= opts.tol_opt:
             status = "converged"
@@ -311,15 +317,17 @@ def prox_log_admm_sharing(
     u = np.zeros(inst.n) if state is None else state.y / rho
     x1 = np.zeros(inst.n)
     dual_step = alpha / rho
+    consensus_scale = rho + c_safe
     status = "max_iter"
     k = 0
     primal = dual_res = float("inf")
     for k in range(1, opts.max_iter + 1):
         x1 = blockwise_soft_threshold(x2 - u, thresholds, gs)
         v = x1 + u
-        x2_new = v + op.adjoint_apply((b - op.apply(v)) / (rho + c_safe))
-        u = u + dual_step * (x1 - x2_new)
-        primal = _norm(x1 - x2_new)
+        x2_new = v + op.adjoint_apply((b - op.apply(v)) / consensus_scale)
+        gap = np.subtract(x1, x2_new, out=v)  # v is spent: reuse its buffer
+        u = u + dual_step * gap
+        primal = _norm(gap)
         dual_res = rho * _norm(x2_new - x2)
         x2 = x2_new
         if not math.isfinite(primal + dual_res):
@@ -393,6 +401,12 @@ def prox_log_pgm(
     separable group prox.  ``step`` defaults to ``1 / ||M||_2^2``; the
     accelerated variant uses the standard momentum sequence with restarts
     disabled.  Stops on the unit-step proximal-gradient norm.
+
+    The stopping test at ``x_k`` computes ``M^T(M x_k - b)``, which is
+    exactly ISTA's next gradient, so ISTA costs one ``apply`` /
+    ``adjoint_apply`` pair per iteration.  FISTA evaluates its gradient at
+    the extrapolated point, which differs from ``x_k``, and so pays a second
+    pair.
     """
     opts = opts or SolveOptions()
     if step is None:
@@ -405,17 +419,20 @@ def prox_log_pgm(
     tracer = _Tracer(inst, opts.trace_every)
 
     x = np.zeros(inst.n)
-    if proxgrad_norm(x, inst) <= opts.tol_opt:
+    # the stopping test at x computes the gradient at x: ISTA steps from it
+    _, measure, grad = objective_proxgrad_and_gradient(x, inst)
+    if measure <= opts.tol_opt:
         tracer.record(0, x, 0.0, 0.0, final=True)
         return _result(inst, x, "converged", 0, tracer)
 
-    point = x.copy()
+    point = x
     t_momentum = 1.0
     status = "max_iter"
     k = 0
     computed = None
     for k in range(1, opts.max_iter + 1):
-        grad = op.adjoint_apply(op.apply(point) - inst.b)
+        if accelerated:
+            grad = op.adjoint_apply(op.apply(point) - inst.b)
         x_new = blockwise_soft_threshold(point - step * grad, thresholds, gs)
         if accelerated:
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2))
@@ -424,9 +441,10 @@ def prox_log_pgm(
         else:
             point = x_new
         x = x_new
-        obj, measure = objective_and_proxgrad(x, inst)
+        obj, measure, grad = objective_proxgrad_and_gradient(x, inst)
         computed = (obj, measure)
-        _check_finite(measure, k, "PGM iterate")
+        if not math.isfinite(measure):
+            _check_finite(measure, k, "PGM iterate")
         tracer.record(k, x, 0.0, 0.0, computed=computed)
         if measure <= opts.tol_opt:
             status = "converged"

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,24 @@ class TestTraceContainer:
         assert len(again) == len(res.trace)
         assert np.array_equal(again.objectives, res.trace.objectives)
         assert np.array_equal(again.iters, res.trace.iters)
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        # the reference is the csv-module form with 17 significant digits
+        values = [-0.0, 5e-324, 1e-300, 1.7976931348623157e308, 0.1]
+        records = [
+            TraceRecord(k, *(values[(k + i) % len(values)] for i in range(5)))
+            for k in range(len(values))
+        ]
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["iter", "wall_s", "objective", "primal_res", "dual_res", "proxgrad_norm"])
+            for r in records:
+                writer.writerow([r.iter] + [f"{v:.17g}" for v in r[1:]])
+        path = tmp_path / "trace.csv"
+        dp.ConvergenceTrace(records).write_csv(path)
+        assert path.read_bytes() == expected.read_bytes()
+        assert dp.ConvergenceTrace.read_csv(path).records == records
 
     def test_iterations_strictly_increasing(self):
         trace = dp.ConvergenceTrace()

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import dagprox as dp
 from dagprox.kernels import blockwise_soft_threshold, penalty_value
-from oracles import brute_force_two_group_log_penalty, dense_m
+from oracles import brute_force_two_group_log_penalty, dense_m, textbook_group_soft_threshold
 
 
 @pytest.fixture
@@ -80,10 +80,35 @@ class TestGroupSoftThreshold:
         assert np.allclose(out, [1.5, 2.0], atol=1e-15)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(dp.NonFiniteInput):
-            dp.group_soft_threshold(np.array([np.nan, 1.0]), 1.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(dp.NonFiniteInput):
+                dp.group_soft_threshold(np.array([bad, 1.0]), 1.0)
+            # an overflowing finite entry must not hide the bad one
+            with pytest.raises(dp.NonFiniteInput), np.errstate(over="ignore", invalid="ignore"):
+                dp.group_soft_threshold(np.array([1e200, bad]), 1.0)
+
+    @pytest.mark.parametrize("t", [-1.0, np.nan, np.inf])
+    def test_bad_threshold_rejected(self, t):
         with pytest.raises(ValueError):
-            dp.group_soft_threshold(np.array([1.0]), -1.0)
+            dp.group_soft_threshold(np.array([1.0]), t)
+
+    def test_overflowing_norm_returns_input(self):
+        # ||v||^2 overflows to inf: the shrink factor is 1 - t/inf = 1
+        v = np.array([1e200, -1e200, 1e200])
+        with np.errstate(over="ignore"):
+            out = dp.group_soft_threshold(v, 3.0)
+        assert out is not v
+        assert out.tobytes() == v.tobytes()
+
+    def test_bit_identical_to_textbook(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            v = rng.standard_normal(rng.integers(1, 40)) * 10.0 ** rng.integers(-5, 5)
+            t = float(rng.uniform(0, 1.5)) * np.linalg.norm(v)
+            for arg in (v, v[::2], v[::-1], v[1::3]):
+                if arg.size:
+                    expected = textbook_group_soft_threshold(arg, t)
+                    assert dp.group_soft_threshold(arg, t).tobytes() == expected.tobytes()
 
     @given(
         st.lists(st.floats(-50, 50), min_size=1, max_size=6),

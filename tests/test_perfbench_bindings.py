@@ -32,16 +32,32 @@ def test_every_traced_binding_is_wrapped(spans):
         installation.remove()
 
 
-def test_pgm_step_reaches_the_traced_norm(spans):
-    # the study workload expects kernels.operator_norm_sq to fire inside pgm
+def _fired_spans(spans, method) -> set[str]:
+    """Span names reached by one solve of a 3-node chain under the wrappers.
+
+    The study workload expects the asserted spans to fire: inlining one of
+    them into a solver loop would stop every traced study run.
+    """
     tree = spans.SpanTree()
     installation = spans.Installation(tree)
     gs = dp.ancestor_groups(dp.validate_dag(3, [(0, 1), (1, 2)]))
     inst = dp.ProxInstance(b=np.ones(3), lam=0.1, group_set=gs)
     try:
         installation.install()
-        dp.solve_prox(inst, "pgm")
+        dp.solve_prox(inst, method)
     finally:
         installation.remove()
-    names = {node.name for node in tree.root.walk()}
-    assert {"solvers.pgm", "kernels.operator_norm_sq"} <= names
+    return {node.name for node in tree.root.walk()}
+
+
+def test_pgm_step_reaches_the_traced_norm(spans):
+    assert {
+        "solvers.pgm", "kernels.operator_norm_sq", "kernels.blockwise_soft_threshold",
+        "kernels.apply", "kernels.adjoint_apply",
+    } <= _fired_spans(spans, "pgm")
+
+
+def test_bcd_sweep_reaches_the_traced_kernels(spans):
+    assert {
+        "solvers.bcd", "kernels.group_soft_threshold", "diagnostics.objective_and_proxgrad",
+    } <= _fired_spans(spans, "bcd")

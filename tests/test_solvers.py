@@ -3,6 +3,7 @@ import pytest
 
 import dagprox as dp
 from dagprox.solvers import SOLVER_NAMES
+from oracles import textbook_bcd, textbook_pgm
 
 # the dense reference is reached directly: it is not a dispatchable solver
 ADMM_SOLVERS = {"admm": dp.prox_log_admm_unscaled, "sharing": dp.prox_log_admm_sharing}
@@ -26,6 +27,12 @@ def chain_instance():
     gs = dp.ancestor_groups(dag)
     b = np.random.default_rng(7).standard_normal(dag.d)
     return dp.ProxInstance(b=b, lam=0.4, group_set=gs)
+
+
+@pytest.fixture(scope="module")
+def two_layer_instance():
+    gs = dp.ancestor_groups(dp.bench.two_layer(21))
+    return dp.ProxInstance(b=dp.bench.sample_input(gs.d, 0, 0), lam=0.5, group_set=gs)
 
 
 class TestClosedFormCases:
@@ -280,3 +287,40 @@ class TestTracing:
         cover = small_instance.operator.cover_counts
         avg_beta = res.state.xbar2 * cover
         assert np.max(np.abs(avg_beta - res.beta)) <= 1e-6
+
+
+class TestTextbookLoops:
+    """BCD and PGM reproduce their textbook loops bit for bit.
+
+    The solvers skip work the textbook form repeats: ISTA takes its gradient
+    from the stopping test, a BCD block is gathered and scattered once.
+    None of that may change a bit of the iterates or of the trace.
+    """
+
+    MAX_ITER = 3000
+    TOL = 1e-10
+
+    # case: (solver name, SolveOptions fields, textbook loop, its keywords)
+    CASES = {
+        "bcd": ("bcd", {}, textbook_bcd, {}),
+        "rbcd-seed0": ("rbcd", {"seed": 0}, textbook_bcd, {"randomized": True, "seed": 0}),
+        "rbcd-seed1": ("rbcd", {"seed": 1}, textbook_bcd, {"randomized": True, "seed": 1}),
+        "pgm": ("pgm", {}, textbook_pgm, {}),
+        "fista": ("fista", {}, textbook_pgm, {"accelerated": True}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize(
+        "instance", ["small_instance", "chain_instance", "two_layer_instance"]
+    )
+    def test_bit_identical_to_textbook(self, case, instance, request):
+        inst = request.getfixturevalue(instance)
+        method, fields, textbook, keywords = self.CASES[case]
+        opts = dp.SolveOptions(
+            max_iter=self.MAX_ITER, tol_opt=self.TOL, trace_every=1, **fields
+        )
+        res = dp.solve_prox(inst, method, opts)
+        iters, x, records = textbook(inst, self.MAX_ITER, self.TOL, **keywords)
+        assert res.iterations == iters
+        assert res.x.tobytes() == x.tobytes()
+        assert [(r.objective, r.proxgrad_norm) for r in res.trace] == records
