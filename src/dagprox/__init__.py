@@ -1,6 +1,6 @@
 """dagprox: hierarchical sparsity via the latent overlapping group lasso.
 
-Builds ancestor/descendant group systems from a DAG, evaluates the latent
+Builds the ancestor group system of a DAG, evaluates the latent
 overlapping group (LOG) penalty and its proximal operator with five
 interchangeable solvers (block coordinate descent, its randomized variant,
 the sharing-scheme ADMM, ISTA and FISTA), certifies solutions through KKT
@@ -32,7 +32,6 @@ from .graph import (
     ancestor_groups,
     build_index_map,
     check_hierarchy_conformance,
-    descendant_groups,
     read_edge_list,
     read_group_file,
     validate_dag,
@@ -42,7 +41,6 @@ from .graph import (
 from .kernels import (
     ProxInstance,
     SumOperator,
-    gl_penalty_value,
     group_soft_threshold,
     log_penalty_value,
     objective_f,
@@ -52,7 +50,6 @@ from .diagnostics import (
     ConvergenceTrace,
     RateFit,
     TraceRecord,
-    epsilon_optimality,
     fit_linear_rate,
     kkt_residual,
     proxgrad_norm,
@@ -82,13 +79,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dag", "GroupSet", "HierarchyReport", "HierarchyViolation",
-    "validate_dag", "ancestor_groups", "descendant_groups",
+    "validate_dag", "ancestor_groups",
     "build_index_map", "check_hierarchy_conformance",
     "read_edge_list", "write_edge_list", "read_group_file", "write_group_file",
     "SumOperator", "ProxInstance", "group_soft_threshold",
-    "objective_f", "log_penalty_value", "gl_penalty_value", "operator_norm_sq",
+    "objective_f", "log_penalty_value", "operator_norm_sq",
     "ConvergenceTrace", "TraceRecord", "RateFit",
-    "proxgrad_norm", "kkt_residual", "fit_linear_rate", "epsilon_optimality",
+    "proxgrad_norm", "kkt_residual", "fit_linear_rate",
     "SolveOptions", "SolverState", "ProxResult", "SOLVER_NAMES",
     "prox_log_bcd", "prox_log_admm_unscaled", "prox_log_admm_sharing",
     "prox_log_pgm", "solve_prox",

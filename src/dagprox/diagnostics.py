@@ -19,7 +19,6 @@ __all__ = [
     "proxgrad_norm",
     "kkt_residual",
     "fit_linear_rate",
-    "epsilon_optimality",
 ]
 
 TRACE_HEADER = ["iter", "wall_s", "objective", "primal_res", "dual_res", "proxgrad_norm"]
@@ -36,11 +35,18 @@ class TraceRecord(NamedTuple):
 
 
 class ConvergenceTrace:
-    """Per-iteration record of objective, residuals, and optimality measure."""
+    """Per-iteration record of objective, residuals, and optimality measure.
+
+    Iterations increase strictly and every value is finite, so whatever
+    :meth:`write_csv` writes, :meth:`read_csv` reads back; the constructor
+    checks ``records`` as :meth:`append` does.
+    """
 
     def __init__(self, records: Iterable[TraceRecord] = ()):
-        self.records: list[TraceRecord] = list(records)
+        self.records: list[TraceRecord] = []
         self._columns: Optional[np.ndarray] = None
+        for record in records:
+            self.append(record)
 
     def append(self, record: TraceRecord) -> None:
         if self.records and record.iter <= self.records[-1].iter:
@@ -224,10 +230,3 @@ def fit_linear_rate(
     noise_floor = len(logs) * (1e-13 * (1.0 + abs(mean))) ** 2
     r2 = 1.0 if ss_tot <= noise_floor else 1.0 - ss_res / ss_tot
     return RateFit(log_rate=float(slope), r_squared=float(r2), tail_start=int(ks[0]))
-
-
-def epsilon_optimality(trace: ConvergenceTrace, f_star: float) -> list[tuple[int, float]]:
-    """Objective-gap series ``(k, max(f(x^k) - f_star, 0))``."""
-    if not math.isfinite(f_star):
-        raise ValueError("f_star must be finite")
-    return [(int(k), float(max(f - f_star, 0.0))) for k, f in zip(trace.iters, trace.objectives)]

@@ -1,13 +1,9 @@
 """DAG representation and the group systems that encode hierarchical sparsity.
 
 A directed acyclic graph over ``N`` nodes, each carrying one or more
-variables, induces two families of coordinate groups:
-
-* ancestor groups ``g_i = ancestors(i) | {i}``, used by the latent
-  overlapping group (LOG) penalty, whose support is a union of groups and
-  therefore conforms to the strong-hierarchy reading of the graph;
-* descendant groups ``g_i = descendants(i) | {i}``, the grouping under
-  which a plain (overlapping) group lasso induces the same hierarchy.
+variables, induces the ancestor groups ``g_i = ancestors(i) | {i}`` of the
+latent overlapping group (LOG) penalty, whose support is a union of groups
+and therefore conforms to the strong-hierarchy reading of the graph.
 
 Node indices are 0-based throughout.  Groups are ordered by node index so
 that group construction is deterministic; a seed-controlled shuffle is
@@ -38,7 +34,6 @@ __all__ = [
     "HierarchyViolation",
     "validate_dag",
     "ancestor_groups",
-    "descendant_groups",
     "build_index_map",
     "check_hierarchy_conformance",
     "read_edge_list",
@@ -94,27 +89,8 @@ class Dag:
             ps[v].append(u)
         return tuple(tuple(p) for p in ps)
 
-    @cached_property
-    def _children(self) -> tuple[tuple[int, ...], ...]:
-        cs: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for u, v in self.edges:
-            cs[u].append(v)
-        return tuple(tuple(c) for c in cs)
-
     def parents(self, node: int) -> tuple[int, ...]:
         return self._parents[node]
-
-    def children(self, node: int) -> tuple[int, ...]:
-        return self._children[node]
-
-    def reversed(self) -> "Dag":
-        """The DAG with every edge flipped (same nodes and dims)."""
-        return Dag(
-            num_nodes=self.num_nodes,
-            edges=tuple((v, u) for u, v in self.edges),
-            node_dims=self.node_dims,
-            topo_order=tuple(reversed(self.topo_order)),
-        )
 
 
 def validate_dag(num_nodes, edges, node_dims=None) -> Dag:
@@ -319,14 +295,12 @@ def build_index_map(groups, weights=None, d=None) -> GroupSet:
     )
 
 
-def _closure_sets(dag: Dag, direction: str) -> list[set[int]]:
-    """Reflexive ancestor or descendant sets, one per node."""
+def _ancestor_sets(dag: Dag) -> list[set[int]]:
+    """Reflexive ancestor sets, one per node."""
     sets: list[set[int]] = [set() for _ in range(dag.num_nodes)]
-    order = dag.topo_order if direction == "ancestors" else reversed(dag.topo_order)
-    neighbors = dag.parents if direction == "ancestors" else dag.children
-    for i in order:
+    for i in dag.topo_order:
         s = {i}
-        for j in neighbors(i):
+        for j in dag.parents(i):
             s |= sets[j]
         sets[i] = s
     return sets
@@ -344,19 +318,7 @@ def ancestor_groups(dag: Dag, weights=None) -> GroupSet:
     dimensions.  Default weights are ``sqrt(|g|)`` with ``|g|`` counted in
     coordinates; pass ``weights`` to override.
     """
-    sets = _closure_sets(dag, "ancestors")
-    groups = [_expand_to_coords(dag, s) for s in sets]
-    return build_index_map(groups, weights=weights, d=dag.d)
-
-
-def descendant_groups(dag: Dag, weights=None) -> GroupSet:
-    """One group per node: the node plus all its descendants, in node order.
-
-    Equals ``ancestor_groups(dag.reversed())`` group by group.  Used for
-    evaluating the overlapping group-lasso penalty; no prox is offered
-    under this grouping.
-    """
-    sets = _closure_sets(dag, "descendants")
+    sets = _ancestor_sets(dag)
     groups = [_expand_to_coords(dag, s) for s in sets]
     return build_index_map(groups, weights=weights, d=dag.d)
 

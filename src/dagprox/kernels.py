@@ -28,12 +28,18 @@ __all__ = [
     "penalty_value",
     "LatentPenaltyEvaluator",
     "log_penalty_value",
-    "gl_penalty_value",
     "operator_norm_sq",
 ]
 
 #: largest stacked dimension for which a dense M may be materialized
 DENSE_CAP = 4096
+
+#: stopping tolerance of the latent penalty evaluation, relative to
+#: ``max(1, ||beta||)``
+PENALTY_TOL = 1e-10
+
+#: iteration budget of the latent penalty evaluation
+PENALTY_MAX_ITER = 200_000
 
 
 class SumOperator:
@@ -167,27 +173,13 @@ def objective_f(x: np.ndarray, inst: ProxInstance) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (inst.n,):
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({inst.n},)")
-    r = inst.operator.apply(x) - inst.b
-    return penalty_value(x, inst.group_set, inst.lam) + 0.5 * float(r @ r)
+    return objective_and_residual(x, inst)[0]
 
 
 def objective_and_residual(x: np.ndarray, inst: ProxInstance) -> tuple[float, np.ndarray]:
     """Objective value together with the fit residual ``M x - b`` (shared work)."""
     r = inst.operator.apply(x) - inst.b
     return penalty_value(x, inst.group_set, inst.lam) + 0.5 * float(r @ r), r
-
-
-def gl_penalty_value(beta: np.ndarray, group_set: GroupSet, lam: float) -> float:
-    """Overlapping group-lasso penalty ``lam * sum_g w_g ||beta_g||_2``."""
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (group_set.d,):
-        raise DimensionMismatch(
-            f"beta has shape {beta.shape}, expected ({group_set.d},)"
-        )
-    total = sum(
-        w * np.linalg.norm(beta[g]) for g, w in zip(group_set.groups, group_set.weights)
-    )
-    return float(lam * total)
 
 
 class LatentPenaltyEvaluator:
@@ -201,14 +193,14 @@ class LatentPenaltyEvaluator:
 
     Repeated evaluations at nearby points (an outer optimization loop)
     warm-start from the previous latent/dual pair; accuracy is governed by
-    the stopping rule alone.
+    the stopping rule alone: primal and dual residuals at most
+    :data:`PENALTY_TOL` times ``max(1, ||beta||)``, within
+    :data:`PENALTY_MAX_ITER` iterations.
     """
 
-    def __init__(self, group_set: GroupSet, tol: float = 1e-10, max_iter: int = 200_000):
+    def __init__(self, group_set: GroupSet):
         self.group_set = group_set
         self.op = SumOperator(group_set)
-        self.tol = tol
-        self.max_iter = max_iter
         cover = self.op.cover_counts
         self._c_safe = np.where(cover > 0, cover, 1).astype(float)
         self._x2: Optional[np.ndarray] = None
@@ -254,7 +246,7 @@ class LatentPenaltyEvaluator:
             x2 = self.op.adjoint_apply(beta / self._c_safe)  # equal split
         u = np.zeros(gs.n) if self._u is None else self._u.copy()
 
-        for it in range(1, self.max_iter + 1):
+        for it in range(1, PENALTY_MAX_ITER + 1):
             x1 = blockwise_soft_threshold(x2 - u, w / rho, gs)
             v = x1 + u
             x2_new = self._project(v, beta)
@@ -262,7 +254,7 @@ class LatentPenaltyEvaluator:
             primal = float(np.linalg.norm(x1 - x2_new))
             dual = float(rho * np.linalg.norm(x2_new - x2))
             x2 = x2_new
-            if primal <= self.tol * scale and dual <= self.tol * scale:
+            if primal <= PENALTY_TOL * scale and dual <= PENALTY_TOL * scale:
                 break
             # residual balancing keeps the evaluator robust to beta's scale;
             # the scaled dual u = y/rho must be rescaled with rho
@@ -275,30 +267,24 @@ class LatentPenaltyEvaluator:
                     u *= 2.0
         else:
             raise NoConvergence(
-                f"penalty evaluation did not reach tol={self.tol} "
-                f"in {self.max_iter} iterations"
+                f"penalty evaluation did not reach tol={PENALTY_TOL} "
+                f"in {PENALTY_MAX_ITER} iterations"
             )
         self._x2, self._u, self._rho = x2, u, rho
         # x2 is feasible by construction; its penalty upper-bounds the
         # infimum and is tight at the stopping tolerance
-        return float(lam) * float(np.dot(w, _segment_norms(x2, gs)))
+        return penalty_value(x2, gs, lam)
 
 
-def log_penalty_value(
-    beta: np.ndarray,
-    group_set: GroupSet,
-    lam: float,
-    tol: float = 1e-10,
-    max_iter: int = 200_000,
-) -> float:
+def log_penalty_value(beta: np.ndarray, group_set: GroupSet, lam: float) -> float:
     """Latent overlapping group penalty ``lam * Omega(beta)``.
 
     One-shot form of :class:`LatentPenaltyEvaluator`; see there for the
     method.  Returns ``inf`` when ``beta`` has support outside the union
-    of groups (no decomposition exists).  ``tol`` bounds the feasibility
-    residual and dual movement relative to ``max(1, ||beta||)``.
+    of groups (no decomposition exists).  :data:`PENALTY_TOL` bounds the
+    feasibility residual and dual movement relative to ``max(1, ||beta||)``.
     """
-    return LatentPenaltyEvaluator(group_set, tol=tol, max_iter=max_iter).value(beta, lam)
+    return LatentPenaltyEvaluator(group_set).value(beta, lam)
 
 
 def operator_norm_sq(operator: SumOperator) -> float:

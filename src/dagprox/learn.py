@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Protocol, runtime_checkable
 
 import numpy as np
@@ -37,6 +37,10 @@ __all__ = [
     "save_model",
     "load_model",
 ]
+
+#: a coefficient counts toward the support, and the hierarchy check, when its
+#: magnitude exceeds this
+SUPPORT_THRESHOLD = 1e-8
 
 
 @runtime_checkable
@@ -145,7 +149,6 @@ class OuterOptions:
     trace_every: int = 1
     inner_tol_coeff: float = 1e-3
     inner_tol_floor: float = 1e-10
-    support_threshold: float = 1e-8
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -238,7 +241,9 @@ def fit(
     high-accuracy :class:`LatentPenaltyEvaluator` solve on the final
     ``beta``, warm-started from its latent.  An inner solve that exhausts
     its iteration budget raises :class:`InnerSolverWarning` and the outer
-    loop continues with the inexact prox.
+    loop continues with the inexact prox.  ``FitResult.support`` and
+    ``FitResult.hierarchy`` count a coefficient as nonzero when its
+    magnitude exceeds :data:`SUPPORT_THRESHOLD` (1e-8).
     """
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
@@ -295,16 +300,7 @@ def fit(
         target = point - step * grad
 
         tol_k = max(outer.inner_tol_floor, outer.inner_tol_coeff / k**2)
-        inner_opts = SolveOptions(
-            rho=inner.rho,
-            alpha=inner.alpha,
-            max_iter=inner.max_iter,
-            tol_opt=inner.tol_opt,
-            tol_primal=tol_k,
-            tol_dual=tol_k,
-            trace_every=0,
-            seed=inner.seed,
-        )
+        inner_opts = replace(inner, tol_primal=tol_k, tol_dual=tol_k, trace_every=0)
         prox_inst = ProxInstance(
             b=target, lam=step * lam, group_set=group_set, operator=op
         )
@@ -338,9 +334,9 @@ def fit(
     if outer.trace_every and (not trace.records or trace.records[-1].iter != k):
         record(k, beta, res.x, measure)
 
-    support = np.flatnonzero(np.abs(beta) > outer.support_threshold)
+    support = np.flatnonzero(np.abs(beta) > SUPPORT_THRESHOLD)
     hierarchy = (
-        check_hierarchy_conformance(dag, beta, outer.support_threshold, "strong")
+        check_hierarchy_conformance(dag, beta, SUPPORT_THRESHOLD, "strong")
         if dag is not None
         else None
     )

@@ -116,19 +116,17 @@ class SolveOptions:
 
 @dataclass
 class SolverState:
-    """Primal blocks, unscaled dual, and iteration counter of an ADMM run.
+    """Final primal blocks and unscaled dual of an ADMM run.
 
     ``y`` is the unscaled multiplier; the sharing solver works with the
-    scaled dual ``u = y / rho`` internally.  ``xbar2`` is the d-dimensional
-    consensus vector (per-coordinate mean of the ``x2`` copies); it is
-    ``None`` for the dense reference.
+    scaled dual ``u = y / rho`` internally.  Passed back as ``state=``, it
+    warm-starts the sharing solver from ``x2`` and ``y``; the iteration
+    count is :attr:`ProxResult.iterations`.
     """
 
     x1: np.ndarray
     x2: np.ndarray
     y: np.ndarray
-    k: int = 0
-    xbar2: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -339,9 +337,7 @@ def prox_log_admm_sharing(
             status = "converged"
             break
     tracer.record(k, x1, primal, dual_res, final=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        xbar2 = np.where(cover > 0, op.apply(x2) / c_safe, 0.0)
-    final = SolverState(x1=x1, x2=x2, y=u * rho, k=k, xbar2=xbar2)
+    final = SolverState(x1=x1, x2=x2, y=u * rho)
     return _result(inst, x1, status, k, tracer, state=final)
 
 
@@ -385,7 +381,7 @@ def prox_log_admm_unscaled(
         if primal <= opts.tol_primal and dual_res <= opts.tol_dual:
             status = "converged"
             break
-    final = SolverState(x1=x1, x2=x2, y=y, k=k)
+    final = SolverState(x1=x1, x2=x2, y=y)
     return _result(inst, x1, status, k, ConvergenceTrace(), state=final)
 
 

@@ -27,14 +27,11 @@ def dense_m(group_set) -> np.ndarray:
     return m
 
 
-def closure_sets(num_nodes, edges, kind) -> list[set[int]]:
-    """Reflexive ancestor/descendant sets via repeated squaring of adjacency."""
+def closure_sets(num_nodes, edges) -> list[set[int]]:
+    """Reflexive ancestor sets via repeated squaring of adjacency."""
     adj = np.eye(num_nodes, dtype=bool)
     for u, v in edges:
-        if kind == "ancestors":
-            adj[v, u] = True  # child reaches parent
-        else:
-            adj[u, v] = True
+        adj[v, u] = True  # child reaches parent
     reach = adj.copy()
     for _ in range(int(np.ceil(np.log2(max(num_nodes, 2)))) + 1):
         reach = reach | (reach @ reach)

@@ -67,48 +67,19 @@ class TestGroups:
         dag = dp.validate_dag(3, edges)
         gs = dp.ancestor_groups(dag)
         assert [list(g) for g in gs.groups] == [[0], [0, 1], [0, 1, 2]]
-        oracle = closure_sets(3, edges, "ancestors")
+        oracle = closure_sets(3, edges)
         assert [set(g.tolist()) for g in gs.groups] == oracle
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_dags_match_closure_oracle(self, seed):
         dag = dp.bench.random_dag(12, edge_prob=0.35, seed=seed)
         anc = dp.ancestor_groups(dag)
-        dec = dp.descendant_groups(dag)
-        anc_oracle = closure_sets(12, dag.edges, "ancestors")
-        dec_oracle = closure_sets(12, dag.edges, "descendants")
+        anc_oracle = closure_sets(12, dag.edges)
         assert [set(g.tolist()) for g in anc.groups] == anc_oracle
-        assert [set(g.tolist()) for g in dec.groups] == dec_oracle
-
-    def test_descendant_groups_fig1b(self, fig1b):
-        gs = dp.descendant_groups(fig1b)
-        # node order: desc(0)={0,2}, desc(1)={1,2,3}, desc(2)={2}, desc(3)={3}
-        assert [list(g) for g in gs.groups] == [[0, 2], [1, 2, 3], [2], [3]]
-        # same family as the descendants-form grouping {2},{3},{0,2},{1,2,3}
-        assert {frozenset(g.tolist()) for g in gs.groups} == {
-            frozenset({2}),
-            frozenset({3}),
-            frozenset({0, 2}),
-            frozenset({1, 2, 3}),
-        }
-
-    def test_descendant_groups_chain(self):
-        dag = dp.validate_dag(3, [(0, 1), (1, 2)])
-        gs = dp.descendant_groups(dag)
-        assert [list(g) for g in gs.groups] == [[0, 1, 2], [1, 2], [2]]
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_descendants_equal_ancestors_of_reversed(self, seed):
-        dag = dp.bench.random_dag(10, edge_prob=0.3, seed=100 + seed)
-        a = dp.descendant_groups(dag)
-        b = dp.ancestor_groups(dag.reversed())
-        assert all(np.array_equal(x, y) for x, y in zip(a.groups, b.groups))
-        assert np.array_equal(a.weights, b.weights)
 
     def test_node_in_own_group(self, fig1b):
-        for gs in (dp.ancestor_groups(fig1b), dp.descendant_groups(fig1b)):
-            for i, g in enumerate(gs.groups):
-                assert i in g.tolist()
+        for i, g in enumerate(dp.ancestor_groups(fig1b).groups):
+            assert i in g.tolist()
 
     def test_tree_nesting_along_edges(self):
         dag = dp.bench.binary_tree(4)

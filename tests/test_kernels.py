@@ -235,30 +235,6 @@ class TestLogPenalty:
         assert dp.log_penalty_value(np.array([1.0, 0.0]), gs, 1.0) == pytest.approx(1.0, abs=1e-9)
 
 
-class TestGlPenalty:
-    def test_zero(self):
-        gs = dp.build_index_map([[0], [0, 1]], d=2)
-        assert dp.gl_penalty_value(np.zeros(2), gs, 3.0) == 0.0
-
-    def test_single_group(self):
-        gs = dp.build_index_map([[0, 1]], weights=[1.0], d=2)
-        assert dp.gl_penalty_value(np.array([3.0, 4.0]), gs, 2.0) == pytest.approx(10.0)
-
-    def test_fig1b_descendants_direct_summation(self):
-        dag = dp.validate_dag(4, [(0, 2), (1, 2), (1, 3)])
-        gs = dp.descendant_groups(dag)
-        beta = np.ones(4)
-        oracle = sum(
-            np.sqrt(len(g)) * np.linalg.norm(beta[g]) for g in gs.groups
-        )
-        assert dp.gl_penalty_value(beta, gs, 1.0) == pytest.approx(oracle, rel=1e-15)
-
-    def test_dimension_mismatch(self):
-        gs = dp.build_index_map([[0]], d=1)
-        with pytest.raises(dp.DimensionMismatch):
-            dp.gl_penalty_value(np.zeros(2), gs, 1.0)
-
-
 class TestOperatorNorm:
     def test_single_full_group(self):
         gs = dp.build_index_map([[0, 1, 2]], d=3)

@@ -279,15 +279,6 @@ class TestTracing:
         )
         assert np.array_equal(auto.trace.objectives, manual.trace.objectives)
 
-    def test_sharing_exposes_consensus_vector(self, small_instance):
-        res = dp.prox_log_admm_sharing(small_instance)
-        assert res.state.xbar2 is not None
-        assert res.state.xbar2.shape == (small_instance.d,)
-        # at convergence the consensus averages reproduce beta coordinate-wise
-        cover = small_instance.operator.cover_counts
-        avg_beta = res.state.xbar2 * cover
-        assert np.max(np.abs(avg_beta - res.beta)) <= 1e-6
-
 
 class TestTextbookLoops:
     """BCD and PGM reproduce their textbook loops bit for bit.
