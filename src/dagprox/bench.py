@@ -11,6 +11,7 @@ requested solver so runs are exactly comparable and reproducible.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -108,7 +109,13 @@ def make_topology(
 
 @dataclass
 class BenchmarkSpec:
-    """A replication study on one topology."""
+    """A replication study on one topology.
+
+    Construction rejects unknown solver names, ``reps < 1`` and a
+    non-finite or negative ``lam``.  Topology parameters are checked when
+    :meth:`build_dag` runs, which :func:`run_benchmark` does before it
+    writes anything.
+    """
 
     topology: str
     nodes: Optional[int] = None
@@ -119,6 +126,17 @@ class BenchmarkSpec:
     lam: float = 0.5
     solvers: tuple[str, ...] = SOLVER_NAMES
     options: SolveOptions = field(default_factory=lambda: SolveOptions(trace_every=1))
+
+    def __post_init__(self):
+        unknown = [s for s in self.solvers if s not in SOLVER_NAMES]
+        if unknown:
+            raise ValueError(
+                f"unknown solver(s) {', '.join(unknown)} (choose from {', '.join(SOLVER_NAMES)})"
+            )
+        if self.reps < 1:
+            raise ValueError(f"reps must be at least 1, got {self.reps}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
 
     def build_dag(self) -> Dag:
         return make_topology(self.topology, self.nodes, self.depth, self.edge_prob, self.seed)
@@ -170,9 +188,6 @@ def run_benchmark(spec: BenchmarkSpec, out_dir=None) -> BenchmarkRun:
     dag = spec.build_dag()
     group_set = ancestor_groups(dag)
     op = SumOperator(group_set)
-    unknown = [s for s in spec.solvers if s not in SOLVER_NAMES]
-    if unknown:
-        raise ValueError(f"unknown solvers: {', '.join(unknown)}")
 
     if out_dir is not None:
         out_dir = Path(out_dir)

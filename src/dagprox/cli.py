@@ -1,20 +1,24 @@
 """Command-line driver: benchmark study, model fitting, single prox evaluations.
 
-Exit codes: 0 on success, 1 on a runtime failure inside a solver, 2 on
-input validation problems (bad flags, unreadable or malformed files,
-inconsistent dimensions).
+Exit codes: 0 on success; 1 when a solve fails on valid input
+(:class:`~dagprox.errors.NonFiniteIterate`,
+:class:`~dagprox.errors.NoConvergence`); 2 for every other error, all of
+which are input validation (bad flags, unreadable or malformed files,
+inconsistent dimensions).  Each input is checked once, by the library
+object that takes it; a command checks only what spans its flags, such as
+exactly one of ``--b`` and ``--b-file``.  The one error boundary,
+:class:`_Command`, maps an error's type to its exit code.
 """
 
 from __future__ import annotations
 
-import sys
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import bench as bench_mod
-from .errors import DagproxError
+from .errors import DagproxError, NoConvergence, NonFiniteIterate
 from .graph import (
     ancestor_groups,
     read_edge_list,
@@ -36,36 +40,43 @@ from .solvers import SOLVER_NAMES, SolveOptions, solve_prox
 _SOLVER_LIST = ", ".join(SOLVER_NAMES)
 
 
-def _usage(message: str):
-    raise click.UsageError(message)
+class _Command(click.Command):
+    """A subcommand whose errors end in an exit code chosen by their type."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (NonFiniteIterate, NoConvergence) as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(1)
+        except (DagproxError, ValueError, OSError) as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+
+
+class _Group(click.Group):
+    command_class = _Command
 
 
 def _load_groups(graph_path, groups_path, d_hint=None):
     """Resolve the group system from either a graph file or a group file."""
     if (graph_path is None) == (groups_path is None):
-        _usage("exactly one of --graph or --groups is required")
-    try:
-        if graph_path is not None:
-            dag = read_edge_list(graph_path)
-            return ancestor_groups(dag), dag
-        return read_group_file(groups_path, d=d_hint), None
-    except (OSError, ValueError, DagproxError) as exc:
-        _usage(f"{graph_path or groups_path}: {exc}")
+        raise click.UsageError("exactly one of --graph or --groups is required")
+    if graph_path is not None:
+        dag = read_edge_list(graph_path)
+        return ancestor_groups(dag), dag
+    return read_group_file(groups_path, d=d_hint), None
 
 
 def _solve_options(rho, alpha, tol, max_iter, trace_every=0) -> SolveOptions:
-    try:
-        return SolveOptions(
-            rho=rho,
-            alpha=alpha,
-            max_iter=max_iter,
-            tol_opt=tol,
-            tol_primal=tol,
-            tol_dual=tol,
-            trace_every=trace_every,
-        )
-    except (ValueError, DagproxError) as exc:
-        _usage(str(exc))
+    return SolveOptions(
+        rho=rho,
+        alpha=alpha,
+        max_iter=max_iter,
+        tol_opt=tol,
+        tol_primal=tol,
+        tol_dual=tol,
+        trace_every=trace_every,
+    )
 
 
 def _write_column(values, path) -> None:
@@ -76,7 +87,7 @@ def _write_column(values, path) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-@click.group()
+@click.group(cls=_Group)
 def main():
     """Latent overlapping group lasso over DAG hierarchies."""
 
@@ -101,32 +112,16 @@ def main():
 def cmd_prox_bench(topology, nodes, depth, edge_prob, seed, reps, lam, solvers,
                    rho, alpha, tol, max_iter, out_dir, trace_every):
     """Replication study: seeded inputs, every solver, traces plus a summary CSV."""
-    solver_names = tuple(s.strip() for s in solvers.split(",") if s.strip())
-    bad = [s for s in solver_names if s not in SOLVER_NAMES]
-    if bad:
-        _usage(f"--solvers: unknown solver(s) {', '.join(bad)} (choose from {_SOLVER_LIST})")
-    if reps < 1:
-        _usage("--reps must be at least 1")
-    if lam < 0:
-        _usage("--lambda must be nonnegative")
-    opts = _solve_options(rho, alpha, tol, max_iter, trace_every)
     spec = bench_mod.BenchmarkSpec(
         topology=topology, nodes=nodes, depth=depth, edge_prob=edge_prob,
-        seed=seed, reps=reps, lam=lam, solvers=solver_names, options=opts,
+        seed=seed, reps=reps, lam=lam,
+        solvers=tuple(s.strip() for s in solvers.split(",") if s.strip()),
+        options=_solve_options(rho, alpha, tol, max_iter, trace_every),
     )
-    try:
-        spec.build_dag()
-    except (ValueError, DagproxError) as exc:
-        _usage(str(exc))
-
-    try:
-        run = bench_mod.run_benchmark(spec, out_dir=out_dir)
-        rows = bench_mod.summary_rows(run)
-        summary_path = Path(out_dir) / "summary.csv"
-        bench_mod.write_summary_csv(rows, summary_path)
-    except DagproxError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    run = bench_mod.run_benchmark(spec, out_dir=out_dir)
+    rows = bench_mod.summary_rows(run)
+    summary_path = Path(out_dir) / "summary.csv"
+    bench_mod.write_summary_csv(rows, summary_path)
     click.echo(f"wrote {summary_path} ({len(rows)} solver rows, {reps} replications)")
 
 
@@ -151,20 +146,14 @@ def cmd_prox(graph_path, groups_path, b_file, b_inline, lam, solver,
              rho, alpha, tol, max_iter, out_path, latent_out):
     """Evaluate the penalty prox at one input; beta goes to stdout or --out."""
     if (b_file is None) == (b_inline is None):
-        _usage("exactly one of --b-file or --b is required")
-    try:
-        if b_file is not None:
-            b = np.loadtxt(b_file, delimiter=",", dtype=float).reshape(-1)
-        else:
-            b = np.array([float(t) for t in b_inline.split(",")])
-    except (OSError, ValueError) as exc:
-        _usage(f"input vector: {exc}")
+        raise click.UsageError("exactly one of --b-file or --b is required")
+    if b_file is not None:
+        b = np.loadtxt(b_file, delimiter=",", dtype=float).reshape(-1)
+    else:
+        b = np.array([float(t) for t in b_inline.split(",")])
     group_set, _ = _load_groups(graph_path, groups_path, d_hint=b.size)
-    if lam < 0:
-        _usage("--lambda must be nonnegative")
-    if b.size != group_set.d:
-        _usage(f"input has length {b.size} but the group system covers d={group_set.d}")
     opts = _solve_options(rho, alpha, tol, max_iter)
+    inst = ProxInstance(b=b, lam=lam, group_set=group_set)
 
     uncovered = group_set.uncovered()
     if uncovered.size and np.any(b[uncovered] != 0.0):
@@ -174,13 +163,7 @@ def cmd_prox(graph_path, groups_path, b_file, b_inline, lam, solver,
             err=True,
         )
 
-    try:
-        inst = ProxInstance(b=b, lam=lam, group_set=group_set)
-        res = solve_prox(inst, solver, opts)
-    except DagproxError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-
+    res = solve_prox(inst, solver, opts)
     _write_column(res.beta, out_path)
     if latent_out is not None:
         np.savetxt(latent_out, res.latent_matrix(), delimiter=",", fmt="%.17g")
@@ -207,39 +190,22 @@ def cmd_prox(graph_path, groups_path, b_file, b_inline, lam, solver,
 def cmd_fit(loss_name, design, response, graph_path, groups_path, lam, lambda_frac,
             accelerated, tol, max_iter, out_path):
     """Fit a smooth loss with the LOG penalty; writes a plain-text model file."""
+    if (lam is None) == (lambda_frac is None):
+        raise click.UsageError("exactly one of --lambda or --lambda-frac is required")
     logistic = loss_name == "logistic"
-    try:
-        a = load_design_matrix(design)
-        y = load_response(response, logistic=logistic)
-        loss = LogisticLoss(a, y) if logistic else LeastSquaresLoss(a, y)
-    except (OSError, ValueError, DagproxError) as exc:
-        _usage(f"data: {exc}")
+    a = load_design_matrix(design)
+    y = load_response(response, logistic=logistic)
+    loss = LogisticLoss(a, y) if logistic else LeastSquaresLoss(a, y)
     group_set, dag = _load_groups(graph_path, groups_path, d_hint=loss.dim)
     if group_set.d != loss.dim:
-        _usage(
+        raise click.UsageError(
             f"group system has d={group_set.d} but the design matrix has {loss.dim} columns"
         )
-    if (lam is None) == (lambda_frac is None):
-        _usage("exactly one of --lambda or --lambda-frac is required")
-    try:
-        outer = OuterOptions(max_iter=max_iter, tol=tol)
-    except ValueError as exc:
-        _usage(str(exc))
-
-    try:
-        if lam is None:
-            lam = lambda_frac * lambda_max(loss, dag if dag is not None else group_set)
-        if lam < 0:
-            _usage("--lambda must be nonnegative")
-        result = learn_fit(
-            loss, dag if dag is not None else group_set, lam,
-            outer=outer, accelerated=accelerated,
-        )
-    except click.UsageError:
-        raise
-    except DagproxError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    outer = OuterOptions(max_iter=max_iter, tol=tol)
+    hierarchy = dag if dag is not None else group_set
+    if lam is None:
+        lam = lambda_frac * lambda_max(loss, hierarchy)
+    result = learn_fit(loss, hierarchy, lam, outer=outer, accelerated=accelerated)
 
     save_model(out_path, result.beta, result.lam, loss_name, group_set)
     violations = result.hierarchy.num_violations if result.hierarchy is not None else "n/a"
@@ -248,6 +214,8 @@ def cmd_fit(loss_name, design, response, graph_path, groups_path, lam, lambda_fr
         f"strong_violations={violations} outer_iters={result.outer_iterations} "
         f"inner_iters={result.inner_iters} model={out_path}"
     )
+    if result.status == "max_iter":
+        click.echo(f"warning: fit hit max_iter={max_iter}", err=True)
 
 
 if __name__ == "__main__":

@@ -115,8 +115,6 @@ def proxgrad_norm(x: np.ndarray, inst: ProxInstance) -> float:
     the plain gradient norm ``||M^T(M x - b)||``.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (inst.n,):
-        raise DimensionMismatch(f"x has shape {x.shape}, expected ({inst.n},)")
     residual = inst.operator.apply(x) - inst.b
     return _proxgrad_from_gradient(x, inst.operator.adjoint_apply(residual), inst)
 

@@ -103,7 +103,8 @@ class ProxInstance:
             raise DimensionMismatch("operator built from a different group set")
         if self.b.shape != (self.group_set.d,):
             raise DimensionMismatch(
-                f"b has shape {self.b.shape}, expected ({self.group_set.d},)"
+                f"b has shape {self.b.shape} (length {self.b.size}), "
+                f"expected ({self.group_set.d},)"
             )
         if not np.all(np.isfinite(self.b)):
             raise NonFiniteInput("b contains non-finite entries")
@@ -170,10 +171,7 @@ def objective_f(x: np.ndarray, inst: ProxInstance) -> float:
     ``lam * sum_g w_g ||x_{j(g)}||_2 + 0.5 ||M x - b||_2^2``.  Convex but
     not strongly convex: ``M`` has repeated columns whenever groups overlap.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (inst.n,):
-        raise DimensionMismatch(f"x has shape {x.shape}, expected ({inst.n},)")
-    return objective_and_residual(x, inst)[0]
+    return objective_and_residual(np.asarray(x, dtype=float), inst)[0]
 
 
 def objective_and_residual(x: np.ndarray, inst: ProxInstance) -> tuple[float, np.ndarray]:

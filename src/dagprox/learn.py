@@ -10,6 +10,7 @@ decomposition.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -153,8 +154,9 @@ class OuterOptions:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
-        if self.tol < 0:
-            raise ValueError("tol must be nonnegative")
+        for name in ("tol", "inner_tol_coeff", "inner_tol_floor"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.trace_every < 0:
             raise ValueError("trace_every must be nonnegative")
 
@@ -245,8 +247,8 @@ def fit(
     ``FitResult.hierarchy`` count a coefficient as nonzero when its
     magnitude exceeds :data:`SUPPORT_THRESHOLD` (1e-8).
     """
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
     outer = outer or OuterOptions()
     inner = inner or SolveOptions(max_iter=20_000)
     group_set, dag = _resolve_groups(dag_or_groups)

@@ -92,11 +92,11 @@ class SolveOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise InvalidStep(f"rho must be positive, got {self.rho}")
+        if not (math.isfinite(self.rho) and self.rho > 0):
+            raise InvalidStep(f"rho must be finite and positive, got {self.rho}")
         for name in ("tol_opt", "tol_primal", "tol_dual"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
         if self.trace_every < 0:

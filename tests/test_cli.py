@@ -118,11 +118,12 @@ class TestProxCommand:
         # squared residuals of 1e200-sized iterates overflow to inf
         graph = tmp_path / "chain.txt"
         dp.write_edge_list(dp.validate_dag(3, [(0, 1), (1, 2)]), graph)
-        result = runner.invoke(
-            main,
-            ["prox", "--graph", str(graph), "--b", "1e200,1e200,1e200",
-             "--lambda", "0.5", "--solver", "sharing"],
-        )
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            result = runner.invoke(
+                main,
+                ["prox", "--graph", str(graph), "--b", "1e200,1e200,1e200",
+                 "--lambda", "0.5", "--solver", "sharing"],
+            )
         assert result.exit_code == 1
         assert "non-finite" in result.output
 
@@ -226,6 +227,21 @@ class TestFitCommand:
         assert not (tmp_path / "model.txt").exists()
 
 
+    def test_capped_run_warns(self, runner, tmp_path, fig1b_graph):
+        np.savetxt(tmp_path / "a.csv", np.eye(4), delimiter=",", fmt="%.17g")
+        np.savetxt(tmp_path / "y.csv", np.array([3.0, -2.0, 1.0, 4.0]), delimiter=",")
+        result = runner.invoke(
+            main,
+            ["fit", "--loss", "least-squares", "--design", str(tmp_path / "a.csv"),
+             "--response", str(tmp_path / "y.csv"), "--graph", str(fig1b_graph),
+             "--lambda", "0.1", "--tol", "0", "--max-iter", "3",
+             "--out", str(tmp_path / "model.txt")],
+        )
+        assert result.exit_code == 0, result.output
+        assert "warning: fit hit max_iter=3" in result.output
+        assert (tmp_path / "model.txt").exists()
+
+
 class TestProxBenchCommand:
     def test_small_benchmark_outputs(self, runner, tmp_path):
         out = tmp_path / "bench"
@@ -307,3 +323,43 @@ class TestProxBenchCommand:
              "--out-dir", str(tmp_path / "x")],
         )
         assert result.exit_code == 2
+
+
+PROX = ["prox", "--b", "1,1,1,1"]
+FIT = ["fit", "--loss", "least-squares"]
+BENCH = ["prox-bench", "--topology", "random_dag", "--nodes", "4", "--solvers", "sharing"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        PROX + ["--lambda", "nan"],
+        PROX + ["--lambda", "inf"],
+        PROX + ["--lambda", "-1"],
+        ["prox", "--b", "nan,1,1,1", "--lambda", "0.5"],
+        PROX + ["--lambda", "0.5", "--tol", "nan"],
+        PROX + ["--lambda", "0.5", "--rho", "nan"],
+        PROX + ["--lambda", "0.5", "--alpha", "2", "--solver", "sharing"],
+        FIT + ["--lambda", "nan"],
+        FIT + ["--lambda-frac", "-1"],
+        FIT + ["--lambda", "0.1", "--tol", "nan"],
+        BENCH + ["--lambda", "nan"],
+        BENCH + ["--reps", "0"],
+    ],
+    ids=lambda args: " ".join(args),
+)
+def test_edge_inputs_are_usage_errors(runner, tmp_path, fig1b_graph, args):
+    np.savetxt(tmp_path / "a.csv", np.eye(4), delimiter=",", fmt="%.17g")
+    np.savetxt(tmp_path / "y.csv", np.ones(4), delimiter=",")
+    written = tmp_path / "written"
+    extra = {
+        "prox": ["--graph", str(fig1b_graph), "--out", str(written)],
+        "fit": ["--design", str(tmp_path / "a.csv"), "--response", str(tmp_path / "y.csv"),
+                "--graph", str(fig1b_graph), "--out", str(written)],
+        "prox-bench": ["--out-dir", str(written)],
+    }[args[0]]
+    result = runner.invoke(main, args + extra)
+    assert result.exit_code == 2, result.output
+    assert "Error:" in result.output
+    assert isinstance(result.exception, SystemExit)
+    assert not written.exists()

@@ -178,8 +178,20 @@ class TestFit:
         with pytest.raises(ValueError):
             dp.fit(loss, dag, -1.0)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_nonfinite_lambda_rejected_before_any_work(self, lam):
+        calls = []
+        loss = dp.LeastSquaresLoss(np.eye(6), np.ones(6))
+        loss.gradient = lambda beta: calls.append(beta)
+        with pytest.raises(ValueError, match=f"got {lam}"):
+            dp.fit(loss, chain_dag(6), lam)
+        assert calls == []
+
     @pytest.mark.parametrize(
-        "field, value", [("max_iter", 0), ("max_iter", -1), ("tol", -1.0), ("trace_every", -1)]
+        "field, value",
+        [("max_iter", 0), ("max_iter", -1), ("tol", -1.0), ("tol", float("nan")),
+         ("trace_every", -1), ("inner_tol_coeff", -1.0), ("inner_tol_coeff", float("nan")),
+         ("inner_tol_floor", -1.0), ("inner_tol_floor", float("nan"))],
     )
     def test_bad_outer_options_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -216,8 +216,12 @@ class TestOptionsAndErrors:
             dp.solve_prox(small_instance, "newton")
 
     def test_bad_options(self):
-        with pytest.raises(dp.InvalidStep):
-            dp.SolveOptions(rho=0.0)
+        for rho in (0.0, float("nan"), float("inf")):
+            with pytest.raises(dp.InvalidStep):
+                dp.SolveOptions(rho=rho)
+        for name in ("tol_opt", "tol_primal", "tol_dual"):
+            with pytest.raises(ValueError, match=name):
+                dp.SolveOptions(**{name: float("nan")})
         with pytest.raises(ValueError):
             dp.SolveOptions(max_iter=0)
         with pytest.raises(ValueError):
