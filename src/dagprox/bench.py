@@ -111,8 +111,9 @@ def make_topology(
 class BenchmarkSpec:
     """A replication study on one topology.
 
-    Construction rejects unknown solver names, ``reps < 1`` and a
-    non-finite or negative ``lam``.  Topology parameters are checked when
+    Construction rejects unknown solver names, ``reps < 1``, a non-finite
+    or negative ``lam`` and, when ``sharing`` is among the solvers, ADMM
+    steps outside ``0 < alpha < rho``.  Topology parameters are checked when
     :meth:`build_dag` runs, which :func:`run_benchmark` does before it
     writes anything.
     """
@@ -137,6 +138,8 @@ class BenchmarkSpec:
             raise ValueError(f"reps must be at least 1, got {self.reps}")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        if "sharing" in self.solvers:
+            self.options.require_admm_steps()
 
     def build_dag(self) -> Dag:
         return make_topology(self.topology, self.nodes, self.depth, self.edge_prob, self.seed)

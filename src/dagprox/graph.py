@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     CycleDetected,
+    DagproxError,
     DimensionMismatch,
     DuplicateEdge,
     EmptyGroup,
@@ -220,6 +221,28 @@ class GroupSet:
         """Coordinates in ``[0, d)`` not contained in any group (reported, never enforced)."""
         return np.flatnonzero(self.cover_counts == 0)
 
+    @cached_property
+    def nested_order(self) -> np.ndarray | None:
+        """Group indices ordered by inclusion, or ``None`` if the groups are not nested.
+
+        The groups are nested (``G_1 ⊆ … ⊆ G_m``, as along a chain) exactly
+        when every covered coordinate lies in all groups from the first one
+        that holds it, in size order, to the last, i.e. when its cover count
+        is ``m`` minus that first rank.  Computed on first use, in O(n).
+        """
+        m = self.num_groups
+        if m == 0:
+            return None
+        order = np.argsort(self.sizes, kind="stable")
+        rank = np.empty(m, dtype=np.intp)
+        rank[order] = np.arange(m)
+        first = np.full(self.d, m, dtype=np.intp)
+        np.minimum.at(first, self.stacked_coords, np.repeat(rank, self.sizes))
+        covered = self.cover_counts > 0
+        if np.any(first[covered] + self.cover_counts[covered] != m):
+            return None
+        return order
+
     def shuffled(self, seed: int) -> "GroupSet":
         """A copy with the group order permuted by a seeded RNG."""
         perm = np.random.default_rng(seed).permutation(self.num_groups)
@@ -408,33 +431,46 @@ def read_edge_list(path) -> Dag:
 
     First non-comment line is ``nodes N``; an optional ``dims d_1 ... d_N``
     line follows; every remaining line is a 0-based ``u v`` pair.  ``#``
-    starts a comment.
+    starts a comment.  Every parse or validation error names ``path``;
+    a :class:`DagproxError` keeps its type, anything else is a
+    ``ValueError``.
     """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return _parse_edge_list(fh)
+        except DagproxError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
+        except ValueError as exc:  # also a file that is not UTF-8
+            raise ValueError(f"{path}: {exc}") from exc
+
+
+def _parse_edge_list(lines) -> Dag:
     num_nodes = None
     dims = None
     edges: list[tuple[int, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] == "nodes":
-                if num_nodes is not None:
-                    raise ValueError(f"{path}: repeated 'nodes' line")
-                num_nodes = int(parts[1])
-            elif parts[0] == "dims":
-                if num_nodes is None:
-                    raise ValueError(f"{path}: 'dims' before 'nodes'")
-                dims = [int(x) for x in parts[1:]]
-            else:
-                if num_nodes is None:
-                    raise ValueError(f"{path}: missing 'nodes N' header line")
-                if len(parts) != 2:
-                    raise ValueError(f"{path}: malformed edge line {line!r}")
-                edges.append((int(parts[0]), int(parts[1])))
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "nodes":
+            if num_nodes is not None:
+                raise ValueError("repeated 'nodes' line")
+            if len(parts) != 2:
+                raise ValueError(f"malformed nodes line {line!r}")
+            num_nodes = int(parts[1])
+        elif parts[0] == "dims":
+            if num_nodes is None:
+                raise ValueError("'dims' before 'nodes'")
+            dims = [int(x) for x in parts[1:]]
+        else:
+            if num_nodes is None:
+                raise ValueError("missing 'nodes N' header line")
+            if len(parts) != 2:
+                raise ValueError(f"malformed edge line {line!r}")
+            edges.append((int(parts[0]), int(parts[1])))
     if num_nodes is None:
-        raise ValueError(f"{path}: missing 'nodes N' header line")
+        raise ValueError("missing 'nodes N' header line")
     return validate_dag(num_nodes, edges, node_dims=dims)
 
 

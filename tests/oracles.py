@@ -5,15 +5,19 @@ matrices are built directly from the group lists, reachability comes from
 boolean matrix squaring, and penalties are evaluated by direct summation
 or brute-force search.
 
-The textbook BCD and PGM loops are the exception: they call the library's
-operator and block soft-threshold, because they pin the solver loops bit
-for bit.  They keep each loop in its plainest form, so that a loop that
-skips repeated work must still reproduce every bit of it.
+The textbook BCD and PGM loops and the warm-started fit are the
+exception: they call the library's operator, block soft-threshold and
+sharing solver, because they pin the solver and learner loops bit for bit.
+They keep each loop in its plainest form, so that a loop that skips
+repeated work must still reproduce every bit of it.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
-from dagprox.kernels import blockwise_soft_threshold, penalty_value
+from dagprox.kernels import ProxInstance, blockwise_soft_threshold, penalty_value
+from dagprox.solvers import SolveOptions, prox_log_admm_sharing
 
 
 def dense_m(group_set) -> np.ndarray:
@@ -144,3 +148,59 @@ def textbook_pgm(inst, max_iter, tol, accelerated=False):
         if records[-1][1] <= tol:
             break
     return k, x, records
+
+
+def prox_kkt_residuals(b, lam, group_set, theta, x) -> dict:
+    """Worst violation of each optimality condition of the LOG prox, by direct summation.
+
+    ``x`` is optimal for ``lam sum_g w_g ||x_g|| + 0.5 ||M x - b||^2`` and
+    ``theta`` is the projection of ``b`` onto ``{||theta_g|| <= lam w_g}``
+    exactly when ``theta = b - M x`` (``decomposition``), every
+    ``||theta_g|| <= lam w_g`` (``feasibility``) and every nonzero latent
+    has ``theta_g = lam w_g x_g / ||x_g||`` (``subgradient``: the constraint
+    is active and ``x_g`` is aligned with ``theta_g``).
+    """
+    beta = np.zeros(group_set.d)
+    feasibility = subgradient = 0.0
+    col = 0
+    for g, w in zip(group_set.groups, group_set.weights):
+        xg = x[col : col + len(g)]
+        col += len(g)
+        beta[g] += xg  # a group's coordinates are distinct
+        tg = theta[g]
+        feasibility = max(feasibility, float(np.linalg.norm(tg)) - lam * w)
+        nx = np.linalg.norm(xg)
+        if nx > 0:
+            subgradient = max(subgradient, float(np.linalg.norm(tg - lam * w * xg / nx)))
+    return {
+        "decomposition": float(np.max(np.abs(b - theta - beta), initial=0.0)),
+        "feasibility": feasibility,
+        "subgradient": subgradient,
+    }
+
+
+def warm_started_fit(loss, group_set, lam, outer, inner_max_iter=20_000):
+    """Plain proximal gradient whose sharing prox resumes from the previous step's state.
+
+    The schedule, step and stopping rule are ``learn.fit``'s; there is no
+    trace and no certified objective.  Returns ``(beta, outer_iterations,
+    inner_iterations)``.
+    """
+    step = 1.0 / loss.lipschitz_hint()
+    inner = SolveOptions(max_iter=inner_max_iter)
+    beta = np.zeros(group_set.d)
+    state, inner_total = None, 0
+    for k in range(1, outer.max_iter + 1):
+        target = beta - step * loss.gradient(beta)
+        tol_k = max(outer.inner_tol_floor, outer.inner_tol_coeff / k**2)
+        res = prox_log_admm_sharing(
+            ProxInstance(b=target, lam=step * lam, group_set=group_set),
+            replace(inner, tol_primal=tol_k, tol_dual=tol_k),
+            state=state,
+        )
+        state, inner_total = res.state, inner_total + res.iterations
+        measure = np.linalg.norm(beta - res.beta) / step
+        beta = res.beta
+        if measure <= outer.tol:
+            break
+    return beta, k, inner_total

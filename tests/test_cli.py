@@ -345,6 +345,9 @@ BENCH = ["prox-bench", "--topology", "random_dag", "--nodes", "4", "--solvers", 
         FIT + ["--lambda", "0.1", "--tol", "nan"],
         BENCH + ["--lambda", "nan"],
         BENCH + ["--reps", "0"],
+        # bcd runs first: a bad sharing step must stop it before any trace is written
+        ["prox-bench", "--topology", "random_dag", "--nodes", "4", "--reps", "1",
+         "--solvers", "bcd,sharing", "--alpha", "2"],
     ],
     ids=lambda args: " ".join(args),
 )
@@ -363,3 +366,19 @@ def test_edge_inputs_are_usage_errors(runner, tmp_path, fig1b_graph, args):
     assert "Error:" in result.output
     assert isinstance(result.exception, SystemExit)
     assert not written.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b"nodes 2\n0 1\n1 0\n", b"nodes\n", b"nodes 3\n0 x\n", b"nodes 2\n0 2\n",
+     b"nodes 2\ndims 1 one\n", b"nodes 2\n\xff\xfe\n"],
+    ids=["cycle", "bare nodes line", "non-integer endpoint", "endpoint out of range",
+         "non-integer dims", "not utf-8"],
+)
+def test_graph_file_errors_name_the_file(runner, tmp_path, text):
+    graph = tmp_path / "bad_graph.txt"
+    graph.write_bytes(text)
+    result = runner.invoke(main, ["prox", "--graph", str(graph), "--b", "1,1", "--lambda", "0.5"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"{graph}: " in result.output

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,60 @@ class TestIndexMap:
         assert gs.uncovered().tolist() == [1, 3]
 
 
+def pairwise_nested(groups) -> bool:
+    sets = [set(g.tolist()) for g in groups]
+    return all(a <= b or b <= a for a in sets for b in sets)
+
+
+class TestNestedOrder:
+    def test_shuffled_chain_is_ordered_by_inclusion(self):
+        dag = dp.validate_dag(6, [(i, i + 1) for i in range(5)], node_dims=[2, 1, 3, 1, 1, 2])
+        gs = dp.ancestor_groups(dag).shuffled(3)
+        order = gs.nested_order
+        sets = [set(gs.groups[j].tolist()) for j in order]
+        assert all(a < b for a, b in zip(sets, sets[1:]))
+
+    @pytest.mark.parametrize(
+        "groups, nested",
+        [
+            ([[0]], True),
+            ([[0, 1], [0], [0, 1]], True),
+            ([[2, 3], [0, 1, 2, 3]], True),
+            ([[0], [1]], False),
+            ([[0], [1], [0, 1]], False),
+            ([[0, 1], [1, 2]], False),
+        ],
+    )
+    def test_small_families(self, groups, nested):
+        gs = dp.build_index_map(groups, d=5)
+        assert (gs.nested_order is not None) == nested
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_pairwise_inclusion(self, seed):
+        rng = np.random.default_rng(seed)
+        d = 8
+        perm = rng.permutation(d)
+        sizes = np.sort(rng.choice(np.arange(1, d), size=rng.integers(2, 6), replace=False))
+        groups = [perm[:k] for k in sizes]
+        if seed % 2:  # the smallest group swaps a coordinate for one in no group
+            groups[0] = np.append(groups[0][1:], perm[-1])
+        gs = dp.build_index_map(groups, d=d).shuffled(seed)
+        order = gs.nested_order
+        assert (order is not None) == pairwise_nested(gs.groups)
+        if order is not None:
+            sets = [set(gs.groups[j].tolist()) for j in order]
+            assert all(a <= b for a, b in zip(sets, sets[1:]))
+
+    def test_tree_is_not_nested(self, fig1b):
+        assert dp.ancestor_groups(fig1b).nested_order is None
+
+    def test_not_computed_while_building_groups(self):
+        dag = dp.validate_dag(5, [(i, i + 1) for i in range(4)])
+        gs = dp.ancestor_groups(dag)
+        dp.lambda_max(dp.LeastSquaresLoss(np.eye(5), np.ones(5)), gs)
+        assert "nested_order" not in vars(gs)
+
+
 class TestHierarchyConformance:
     def test_chain_all_nonzero(self):
         dag = dp.validate_dag(2, [(0, 1)])
@@ -221,6 +277,19 @@ class TestFileFormats:
         path = tmp_path / "g.txt"
         path.write_text("0 1\n")
         with pytest.raises(ValueError):
+            dp.read_edge_list(path)
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [("nodes 2\n0 1\n1 0\n", dp.CycleDetected), ("nodes 2\n0 1\n0 1\n", dp.DuplicateEdge),
+         ("nodes 2\n0 5\n", dp.IndexOutOfRange), ("nodes 2\ndims 1\n", dp.DimensionMismatch),
+         ("nodes 0\n", ValueError), ("nodes\n", ValueError), ("nodes 2\n0 1.5\n", ValueError)],
+        ids=["cycle", "duplicate", "out of range", "dims", "no nodes", "bare nodes", "float"],
+    )
+    def test_edge_list_errors_keep_their_type_and_name_the_file(self, tmp_path, text, error):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with pytest.raises(error, match=f"^{re.escape(str(path))}: "):
             dp.read_edge_list(path)
 
     def test_group_file_round_trip(self, tmp_path):

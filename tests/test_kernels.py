@@ -4,8 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dagprox as dp
-from dagprox.kernels import blockwise_soft_threshold, penalty_value
-from oracles import brute_force_two_group_log_penalty, dense_m, textbook_group_soft_threshold
+from dagprox.bench import reference_solution
+from dagprox.kernels import blockwise_soft_threshold, nested_prox, penalty_value
+from oracles import (
+    brute_force_two_group_log_penalty,
+    dense_m,
+    prox_kkt_residuals,
+    textbook_group_soft_threshold,
+)
 
 
 @pytest.fixture
@@ -275,3 +281,108 @@ class TestProxInstance:
         op = dp.SumOperator(gs1)
         with pytest.raises(dp.DimensionMismatch):
             dp.ProxInstance(b=np.zeros(1), lam=0.0, group_set=gs2, operator=op)
+
+
+def chain_groups(num_nodes, dims=None, weights=None):
+    dag = dp.validate_dag(num_nodes, [(i, i + 1) for i in range(num_nodes - 1)], dims)
+    return dp.ancestor_groups(dag, weights=weights)
+
+
+def assert_prox_kkt(b, lam, gs, tol=1e-12):
+    theta, beta, x = nested_prox(b, lam, gs)
+    assert np.array_equal(beta, b - theta)
+    scale = max(1.0, float(np.linalg.norm(b)))
+    for name, value in prox_kkt_residuals(b, lam, gs, theta, x).items():
+        assert value <= tol * scale, name
+    return theta, beta, x
+
+
+class TestNestedProx:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_chain_matches_sharing_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        num_nodes = int(rng.integers(2, 16))
+        dims = rng.integers(1, 4, num_nodes)
+        weights = rng.uniform(0.2, 3.0, num_nodes) if seed % 2 else None
+        gs = chain_groups(num_nodes, dims, weights).shuffled(seed)
+        b = rng.standard_normal(gs.d) * rng.uniform(0.5, 4.0)
+        lam = float(rng.uniform(0.05, 1.5))
+        _, beta, x = assert_prox_kkt(b, lam, gs)
+        inst = dp.ProxInstance(b=b, lam=lam, group_set=gs)
+        ref = reference_solution(inst)
+        assert np.max(np.abs(beta - ref.beta)) <= 1e-10
+        assert dp.objective_f(x, inst) <= ref.objective + 1e-12 * max(1.0, ref.objective)
+
+    @pytest.mark.parametrize("solver", dp.SOLVER_NAMES)
+    def test_every_solver_reaches_the_closed_form(self, solver):
+        gs = chain_groups(12)
+        b = np.random.default_rng(4).standard_normal(12)
+        opts = dp.SolveOptions(max_iter=200_000, tol_opt=1e-10, tol_primal=1e-10, tol_dual=1e-10)
+        res = dp.solve_prox(dp.ProxInstance(b=b, lam=0.4, group_set=gs), solver, opts)
+        assert res.converged
+        assert np.max(np.abs(res.beta - nested_prox(b, 0.4, gs)[1])) <= 1e-7
+
+    def test_lambda_zero_returns_the_input_on_the_cover(self):
+        gs = dp.build_index_map([[0, 1], [0], [0, 1, 3]], d=5)
+        b = np.array([1.0, -2.0, 3.0, 0.5, 0.0])
+        with np.errstate(all="raise"):
+            theta, beta, x = assert_prox_kkt(b, 0.0, gs)
+        assert np.array_equal(beta, [1.0, -2.0, 0.0, 0.5, 0.0])
+        assert np.array_equal(theta, [0.0, 0.0, 3.0, 0.0, 0.0])
+
+    def test_zero_input_gives_zeros(self):
+        gs = chain_groups(5)
+        theta, beta, x = assert_prox_kkt(np.zeros(5), 0.7, gs)
+        assert not np.any(theta) and not np.any(beta) and not np.any(x)
+
+    @pytest.mark.parametrize("zero_shells", [[0], [2], [0, 1], [4], [1, 3]])
+    def test_shell_with_zero_input(self, zero_shells):
+        gs = chain_groups(6, dims=[2] * 6)
+        b = np.random.default_rng(11).standard_normal(12)
+        for k in zero_shells:
+            b[2 * k : 2 * k + 2] = 0.0
+        for lam in (0.05, 0.3, 1.0):
+            assert_prox_kkt(b, lam, gs)
+
+    def test_repeated_groups_bind_at_the_smallest_weight(self):
+        gs = dp.build_index_map([[0, 1], [0], [0, 1], [0]], weights=[2.0, 1.0, 0.5, 3.0], d=2)
+        b = np.array([3.0, 4.0])
+        theta, beta, _ = assert_prox_kkt(b, 1.0, gs)
+        # [0, 1] with weight 0.5 binds: theta is b scaled to norm 0.5
+        assert np.allclose(theta, 0.1 * b, rtol=1e-15)
+        assert np.allclose(beta, 0.9 * b, rtol=1e-15)
+
+    def test_uncovered_coordinates_stay_zero(self):
+        gs = dp.build_index_map([[1], [1, 3]], d=5)
+        b = np.array([2.0, 1.5, -1.0, 0.5, 4.0])
+        theta, beta, _ = assert_prox_kkt(b, 0.4, gs)
+        assert beta[[0, 2, 4]].tolist() == [0.0, 0.0, 0.0]
+        assert theta[[0, 2, 4]].tolist() == [2.0, -1.0, 4.0]
+
+    def test_single_node_is_a_group_soft_threshold(self):
+        gs = chain_groups(1, dims=[3])
+        b = np.array([1.0, -2.0, 2.0])
+        for lam in (0.5, 1.0, 2.0):
+            _, beta, _ = assert_prox_kkt(b, lam, gs)
+            expected = dp.group_soft_threshold(b, lam * np.sqrt(3.0))
+            assert np.allclose(beta, expected, rtol=0, atol=1e-15)
+
+    def test_above_lambda_max_gives_zero(self):
+        gs = chain_groups(8)
+        b = np.random.default_rng(2).standard_normal(8)
+        lam_max = max(np.linalg.norm(b[g]) / w for g, w in zip(gs.groups, gs.weights))
+        theta, beta, x = assert_prox_kkt(b, 1.001 * lam_max, gs)
+        assert not np.any(beta) and not np.any(x)
+        assert np.array_equal(theta, b)
+
+    def test_deep_chain(self):
+        gs = chain_groups(1500)
+        assert gs.n == 1500 * 1501 // 2
+        b = np.random.default_rng(8).standard_normal(1500)
+        for lam in (0.01, 0.1):
+            _, beta, _ = assert_prox_kkt(b, lam, gs, tol=1e-11)
+            assert np.any(beta)
+
+    def test_unnested_groups_rejected(self, fig1b_groups):
+        with pytest.raises(ValueError, match="inclusion"):
+            nested_prox(np.ones(4), 0.5, fig1b_groups)

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 import dagprox as dp
-from oracles import central_difference_gradient
+from oracles import central_difference_gradient, warm_started_fit
 
 
 def chain_dag(n):
     return dp.validate_dag(n, [(i, i + 1) for i in range(n - 1)])
+
+
+#: a 6-node tree: its ancestor groups are not nested
+TREE_EDGES = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)]
 
 
 @pytest.fixture(scope="module")
@@ -164,14 +168,36 @@ class TestFit:
             assert result.hierarchy.num_violations == 0
 
     def test_inner_budget_warning(self, small_problem):
-        dag, loss = small_problem
-        lam = 0.1 * dp.lambda_max(loss, dag)
+        # on a chain the closed-form warm start converges in one inner step,
+        # so the budget is exhausted on a tree instead
+        _, loss = small_problem
+        tree = dp.validate_dag(6, TREE_EDGES)
+        lam = 0.1 * dp.lambda_max(loss, tree)
         inner = dp.SolveOptions(max_iter=3)
         outer = dp.OuterOptions(max_iter=5, inner_tol_coeff=0.0, inner_tol_floor=1e-10)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            dp.fit(loss, dag, lam, outer=outer, inner=inner)
-        assert any(issubclass(w.category, dp.InnerSolverWarning) for w in caught)
+            dp.fit(loss, tree, lam, outer=outer, inner=inner)
+        assert sum(issubclass(w.category, dp.InnerSolverWarning) for w in caught) == 5
+
+    @pytest.mark.parametrize("frac", [0.0, 0.02, 0.1, 0.3])
+    def test_chain_fit_takes_one_inner_iteration_per_step(self, small_problem, frac):
+        dag, loss = small_problem
+        result = dp.fit(loss, dag, frac * dp.lambda_max(loss, dag))
+        assert result.converged
+        assert result.inner_iters == result.outer_iterations
+
+    @pytest.mark.parametrize("frac", [0.02, 0.1, 0.3])
+    def test_tree_fit_keeps_the_previous_warm_start(self, small_problem, frac):
+        _, loss = small_problem
+        tree = dp.validate_dag(6, TREE_EDGES)
+        lam = frac * dp.lambda_max(loss, tree)
+        result = dp.fit(loss, tree, lam)
+        beta, outer_iters, inner_iters = warm_started_fit(
+            loss, dp.ancestor_groups(tree), lam, dp.OuterOptions()
+        )
+        assert result.beta.tobytes() == beta.tobytes()
+        assert (result.outer_iterations, result.inner_iters) == (outer_iters, inner_iters)
 
     def test_negative_lambda_rejected(self, small_problem):
         dag, loss = small_problem
@@ -266,9 +292,9 @@ class TestChainRecoveryFixture:
         # Each trace point takes Omega from the prox latent, an exact
         # decomposition of beta, so it may not undercut the certified value
         # by more than the evaluator's own tolerance, and it is tight to the
-        # inner tolerance tol_k of its step.  On this path the relative gap
-        # lies in [-3.1e-10, 6.2e-4] and gap / tol_k peaks at 8.0
-        # (lambda = 1e-3 lambda_max, k = 5); C = 32 leaves a 4x margin.
+        # inner tolerance tol_k of its step.  The chain's groups are nested,
+        # so every step's prox is exact to rounding and the relative gap lies
+        # in [-4.3e-10, 0]; C = 32 is the bound for inexact steps.
         dag, loss, sweep = chain_path
         groups = dp.ancestor_groups(dag)
         outer = dp.OuterOptions()
