@@ -16,6 +16,7 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -296,7 +297,11 @@ def build_index_map(groups, weights=None, d=None) -> GroupSet:
     for a in arrs:
         if a[-1] >= d:
             raise IndexOutOfRange(f"coordinate {a[-1]} outside [0, {d})")
+    return _index_map(arrs, weights, d)
 
+
+def _index_map(arrs, weights, d: int) -> GroupSet:
+    """:func:`build_index_map` of sorted, distinct coordinate arrays inside ``[0, d)``."""
     if weights is None:
         w = np.sqrt(np.array([a.size for a in arrs], dtype=float))
     else:
@@ -329,11 +334,6 @@ def _ancestor_sets(dag: Dag) -> list[set[int]]:
     return sets
 
 
-def _expand_to_coords(dag: Dag, node_set: set[int]) -> np.ndarray:
-    coords = [c for i in sorted(node_set) for c in dag.node_coords(i)]
-    return np.array(coords, dtype=np.intp)
-
-
 def ancestor_groups(dag: Dag, weights=None) -> GroupSet:
     """One group per node: the node plus all its ancestors, in node order.
 
@@ -342,8 +342,16 @@ def ancestor_groups(dag: Dag, weights=None) -> GroupSet:
     coordinates; pass ``weights`` to override.
     """
     sets = _ancestor_sets(dag)
-    groups = [_expand_to_coords(dag, s) for s in sets]
-    return build_index_map(groups, weights=weights, d=dag.d)
+    nodes = np.fromiter(chain.from_iterable(map(sorted, sets)), dtype=np.intp)
+    lens = np.array(dag.node_dims, dtype=np.intp)[nodes]
+    # every group concatenates its nodes' coordinate ranges; one pass builds
+    # all of them: the run of node i counts up from node_offsets[i]
+    run_ends = np.cumsum(lens)
+    shift = np.array(dag.node_offsets, dtype=np.intp)[nodes] - (run_ends - lens)
+    coords = np.repeat(shift, lens) + np.arange(run_ends[-1])
+    group_ends = run_ends[np.cumsum([len(s) for s in sets]) - 1]
+    # sorted, distinct and inside [0, d) by construction
+    return _index_map(np.split(coords, group_ends[:-1]), weights, dag.d)
 
 
 @dataclass(frozen=True)
@@ -435,9 +443,14 @@ def read_edge_list(path) -> Dag:
     a :class:`DagproxError` keeps its type, anything else is a
     ``ValueError``.
     """
+    return _parse_file(path, _parse_edge_list)
+
+
+def _parse_file(path, parse, *args):
+    """``parse(lines, *args)`` over the text of ``path``, naming ``path`` in every error."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return _parse_edge_list(fh)
+            return parse(fh, *args)
         except DagproxError as exc:
             raise type(exc)(f"{path}: {exc}") from exc
         except ValueError as exc:  # also a file that is not UTF-8
@@ -485,24 +498,31 @@ def write_edge_list(dag: Dag, path) -> None:
 
 
 def read_group_file(path, d=None) -> GroupSet:
-    """Parse the group text format: one ``w: i1 i2 ...`` line per group."""
+    """Parse the group text format: one ``w: i1 i2 ...`` line per group.
+
+    ``#`` starts a comment.  Every parse or validation error names ``path``
+    as in :func:`read_edge_list`.
+    """
+    return _parse_file(path, _parse_group_file, d)
+
+
+def _parse_group_file(lines, d) -> GroupSet:
     groups: list[list[int]] = []
     weights: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if ":" not in line:
-                raise ValueError(f"{path}: malformed group line {line!r}")
-            wpart, ipart = line.split(":", 1)
-            w = float(wpart)
-            if not w > 0:
-                raise ValueError(f"{path}: non-positive group weight {w}")
-            groups.append([int(t) for t in ipart.split()])
-            weights.append(w)
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if ":" not in line:
+            raise ValueError(f"malformed group line {line!r}")
+        wpart, ipart = line.split(":", 1)
+        w = float(wpart)
+        if not w > 0:
+            raise ValueError(f"non-positive group weight {w}")
+        groups.append([int(t) for t in ipart.split()])
+        weights.append(w)
     if not groups:
-        raise ValueError(f"{path}: no groups found")
+        raise ValueError("no groups found")
     return build_index_map(groups, weights=weights, d=d)
 
 

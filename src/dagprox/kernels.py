@@ -161,6 +161,41 @@ def blockwise_soft_threshold(
     return x * np.repeat(factors, group_set.sizes)
 
 
+def _nested_blocks(v, t_sq, group_set, cap):
+    """The block rule of :func:`nested_prox`: ``(shell, energy, c, ends)``.
+
+    ``t_sq`` holds the squared thresholds in inclusion order.  ``shell`` is
+    the size rank of the smallest group holding each coordinate (``m`` off
+    the cover) and ``energy[k] = ||v_(G_k)||^2``.  Each block of equal ``c``
+    ends at the last group ``k`` minimising ``(t_k^2 - t_p^2) / (E_k - E_p)``
+    after the previous end ``p``, and ``c`` is the root of that minimum.
+    The rule stops once the minimum reaches ``cap`` (``c`` stays ``cap``
+    from there) or no shell after ``p`` carries energy.
+    """
+    m = group_set.num_groups
+    shell = m - group_set.cover_counts
+    energy = np.cumsum(np.bincount(shell, weights=v * v, minlength=m + 1)[:m])
+    c = np.full(m + 1, cap)
+    no_gain = np.full(m, np.inf)  # the ratio where a shell adds no energy
+    ends = []
+    p, e_p, t_sq_p, c_p = 0, 0.0, 0.0, 0.0
+    while p < m:
+        gain = energy[p:] - e_p
+        ratio = no_gain[p:].copy()
+        np.divide(t_sq[p:] - t_sq_p, gain, out=ratio, where=gain > 0)
+        k = m - 1 - int(ratio[::-1].argmin())
+        least = float(ratio[k - p])
+        if least >= cap:
+            break
+        # exactly, c increases from block to block; max() keeps rounding from
+        # breaking that
+        c_p = max(c_p, math.sqrt(max(least, 0.0)))
+        c[p : k + 1] = c_p
+        ends.append(k)
+        p, e_p, t_sq_p = k + 1, energy[k], t_sq[k]
+    return shell, energy, c, np.array(ends, dtype=np.intp)
+
+
 def nested_prox(
     b: np.ndarray, lam: float, group_set: GroupSet
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -186,31 +221,11 @@ def nested_prox(
     if order is None:
         raise ValueError("nested_prox needs groups ordered by inclusion")
     m = group_set.num_groups
-    # rank of the smallest group holding each coordinate; m off the cover
-    shell = m - group_set.cover_counts
-    energy = np.cumsum(np.bincount(shell, weights=b * b, minlength=m + 1)[:m])
     t_sq = (lam * group_set.weights[order]) ** 2
-
-    c = np.ones(m + 1)
-    ends = []
-    p, e_p, t_sq_p, c_p = 0, 0.0, 0.0, 0.0
-    while p < m:
-        gain = energy[p:] - e_p
-        ratio = np.full(m - p, np.inf)
-        np.divide(t_sq[p:] - t_sq_p, gain, out=ratio, where=gain > 0)
-        k = m - 1 - int(np.argmin(ratio[::-1]))
-        if ratio[k - p] >= 1.0:
-            break
-        # exactly, c increases from block to block; max() keeps rounding from
-        # breaking that
-        c_p = max(c_p, math.sqrt(max(ratio[k - p], 0.0)))
-        c[p : k + 1] = c_p
-        ends.append(k)
-        p, e_p, t_sq_p = k + 1, energy[k], t_sq[k]
+    shell, _, c, ends = _nested_blocks(b, t_sq, group_set, 1.0)
 
     theta = c[shell] * b
     beta = b - theta
-    ends = np.array(ends, dtype=np.intp)
     inv_c = np.divide(1.0, c, out=np.zeros(m + 1), where=c > 0)
     mu = np.zeros(m)
     mu[order[ends]] = inv_c[ends] - inv_c[ends + 1]
@@ -244,17 +259,26 @@ def objective_and_residual(x: np.ndarray, inst: ProxInstance) -> tuple[float, np
 class LatentPenaltyEvaluator:
     """Evaluates the latent overlapping group penalty, reusing solver state.
 
-    The infimum of ``sum_g w_g ||nu_g||_2`` over latent decompositions
-    ``sum_g nu_g = beta`` is computed by a scaled two-block ADMM on the
-    constrained problem: one block is the separable group prox, the other
-    the exact projection onto the affine set ``M x = beta`` (``M M^T`` is
-    diagonal, so the projection is a d-dimensional consensus correction).
+    ``Omega(beta)``, the infimum of ``sum_g w_g ||nu_g||_2`` over latent
+    decompositions ``sum_g nu_g = beta``, equals its dual
+    ``max <theta, beta>`` subject to ``||theta_g|| <= w_g``.  On nested
+    groups (``group_set.nested_order`` is not ``None``) that maximum is
+    closed form: the block rule of :func:`nested_prox` with the squared
+    weights ``W_k`` in place of ``t_k^2`` and no cap gives
+    ``Omega = sum over blocks of sqrt((E_k - E_p)(W_k - W_p))``, the limit
+    of ``nested_prox``'s projection of ``s * beta`` as ``s`` grows.
 
-    Repeated evaluations at nearby points (an outer optimization loop)
-    warm-start from the previous latent/dual pair; accuracy is governed by
-    the stopping rule alone: primal and dual residuals at most
+    On any other family a scaled two-block ADMM solves the constrained
+    problem: one block is the separable group prox, the other the exact
+    projection onto the affine set ``M x = beta`` (``M M^T`` is diagonal,
+    so the projection is a d-dimensional consensus correction).  Repeated
+    evaluations at nearby points (an outer optimization loop) warm-start
+    from the previous latent/dual pair; accuracy is governed by the
+    stopping rule alone: primal and dual residuals at most
     :data:`PENALTY_TOL` times ``max(1, ||beta||)``, within
-    :data:`PENALTY_MAX_ITER` iterations.
+    :data:`PENALTY_MAX_ITER` iterations.  The value returned is the
+    penalty of a feasible decomposition, an upper bound tight to that
+    tolerance.
     """
 
     def __init__(self, group_set: GroupSet):
@@ -275,7 +299,8 @@ class LatentPenaltyEvaluator:
         """``lam * Omega(beta)``; ``inf`` if beta has support off the group cover.
 
         ``latent_hint`` is an optional stacked vector whose copy-sums equal
-        (or approximate) ``beta``; it seeds the feasible block.
+        (or approximate) ``beta``; it seeds the ADMM's feasible block and is
+        not needed on nested groups.
         """
         gs = self.group_set
         beta = np.asarray(beta, dtype=float)
@@ -288,6 +313,16 @@ class LatentPenaltyEvaluator:
             return float("inf")
         if not np.any(beta):
             return 0.0
+        order = gs.nested_order
+        if order is not None:
+            # the support function of {||theta_g|| <= w_g} at beta: the limit
+            # s -> inf of nested_prox's projection of s * beta, with no cap.
+            # Omega is positively homogeneous, and scaling by 2^-e is exact,
+            # so the squared energies neither overflow nor underflow.
+            e = math.frexp(float(np.max(np.abs(beta))))[1]
+            unit = np.ldexp(beta, -e)
+            _, energy, c, ends = _nested_blocks(unit, gs.weights[order] ** 2, gs, math.inf)
+            return float(lam * math.ldexp(c[ends] @ np.diff(energy[ends], prepend=0.0), e))
 
         scale = max(1.0, float(np.linalg.norm(beta)))
         w = gs.weights
@@ -340,8 +375,9 @@ def log_penalty_value(beta: np.ndarray, group_set: GroupSet, lam: float) -> floa
 
     One-shot form of :class:`LatentPenaltyEvaluator`; see there for the
     method.  Returns ``inf`` when ``beta`` has support outside the union
-    of groups (no decomposition exists).  :data:`PENALTY_TOL` bounds the
-    feasibility residual and dual movement relative to ``max(1, ||beta||)``.
+    of groups (no decomposition exists).  Exact on nested groups; on any
+    other family :data:`PENALTY_TOL` bounds the ADMM's feasibility residual
+    and dual movement relative to ``max(1, ||beta||)``.
     """
     return LatentPenaltyEvaluator(group_set).value(beta, lam)
 

@@ -255,8 +255,9 @@ def fit(
     exact prox (:func:`~dagprox.kernels.nested_prox`) and stops after one
     iteration unless rounding exceeds ``tol_k``, so ``FitResult.inner_iters``
     counts one sharing iteration per outer step and the trace points are
-    exact.  ``FitResult.objective`` is certified by one high-accuracy
-    :class:`LatentPenaltyEvaluator` solve on the final ``beta``,
+    exact.  ``FitResult.objective`` takes ``Omega`` from
+    :class:`LatentPenaltyEvaluator` on the final ``beta``: exact on nested
+    groups, otherwise certified by one high-accuracy evaluator solve
     warm-started from its latent.  An inner solve that exhausts
     its iteration budget raises :class:`InnerSolverWarning` and the outer
     loop continues with the inexact prox.  ``FitResult.support`` and

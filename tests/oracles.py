@@ -204,3 +204,49 @@ def warm_started_fit(loss, group_set, lam, outer, inner_max_iter=20_000):
         if measure <= outer.tol:
             break
     return beta, k, inner_total
+
+
+def latent_penalty_bracket(beta, group_set, rel_gap=1e-10, max_iter=200_000):
+    """``(lower, upper)`` around ``Omega(beta)`` from a textbook latent ADMM.
+
+    The loop splits ``min sum_g w_g ||x_g||`` subject to ``M x = beta``
+    into the group soft-threshold and the projection onto ``{M x = beta}``
+    through the pseudo-inverse of the dense ``M``, with ``rho = 1`` and the
+    scaled dual ``u``.  ``upper`` is the penalty of the projected iterate, a
+    feasible decomposition.  ``-pinv(M^T) u`` is a dual point; divided by
+    its largest ``||theta_g|| / w_g`` it satisfies every ``||theta_g|| <= w_g``,
+    so by weak duality ``lower = <theta, beta>`` bounds ``Omega`` below.  Both
+    are checked by direct summation over the group lists.  The loop stops
+    once ``upper - lower <= rel_gap * max(1, upper)``.
+    """
+    m = dense_m(group_set)
+    pinv = np.linalg.pinv(m)
+    pairs = list(zip(group_set.groups, group_set.weights))
+    ranges = []
+    col = 0
+    for g, _ in pairs:
+        ranges.append((col, col + len(g)))
+        col += len(g)
+
+    def penalty(x):
+        return sum(w * np.linalg.norm(x[lo:hi]) for (_, w), (lo, hi) in zip(pairs, ranges))
+
+    x2 = pinv @ beta
+    u = np.zeros(group_set.n)
+    for k in range(1, max_iter + 1):
+        x1 = np.concatenate([
+            textbook_group_soft_threshold(x2[lo:hi] - u[lo:hi], w)
+            for (_, w), (lo, hi) in zip(pairs, ranges)
+        ])
+        v = x1 + u
+        x2 = v + pinv @ (beta - m @ v)
+        u = v - x2
+        if k % 25:
+            continue
+        theta = -(pinv.T @ u)
+        worst = max(np.linalg.norm(theta[g]) / w for g, w in pairs)
+        lower = float(theta @ beta) / worst if worst > 0 else 0.0
+        upper = penalty(x2)
+        if upper - lower <= rel_gap * max(1.0, upper):
+            return lower, upper
+    raise AssertionError(f"no {rel_gap} bracket in {max_iter} iterations: {lower}, {upper}")

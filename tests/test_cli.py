@@ -382,3 +382,18 @@ def test_graph_file_errors_name_the_file(runner, tmp_path, text):
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert f"{graph}: " in result.output
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b"1.0: 0 x\n", b"1.0:\n", b"w: 0\n", b"1.0: 0 5\n", b"1.0: 0\n\xff\xfe\n"],
+    ids=["non-integer index", "empty group", "non-numeric weight", "index out of range",
+         "not utf-8"],
+)
+def test_group_file_errors_name_the_file(runner, tmp_path, text):
+    groups = tmp_path / "bad_groups.txt"
+    groups.write_bytes(text)
+    result = runner.invoke(main, ["prox", "--groups", str(groups), "--b", "1,1", "--lambda", "0.5"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"{groups}: " in result.output

@@ -91,6 +91,20 @@ class TestGroups:
             gv = set(gs.groups[v].tolist())
             assert gu < gv
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_multidim_expansion_matches_per_node_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        base = dp.bench.random_dag(15, edge_prob=0.3, seed=seed)
+        dag = dp.validate_dag(15, base.edges, rng.integers(1, 5, 15))
+        weights = rng.uniform(0.5, 2.0, 15) if seed % 2 else None
+        gs = dp.ancestor_groups(dag, weights=weights)
+        oracle = dp.build_index_map(
+            [[c for j in sorted(s) for c in dag.node_coords(j)] for s in closure_sets(15, dag.edges)],
+            weights=weights, d=dag.d,
+        )
+        assert np.array_equal(gs.stacked_coords, oracle.stacked_coords)
+        assert gs.content_hash() == oracle.content_hash()
+
     def test_multidim_node_expansion(self):
         dag = dp.validate_dag(2, [(0, 1)], node_dims=[2, 1])
         gs = dp.ancestor_groups(dag)
@@ -305,3 +319,17 @@ class TestFileFormats:
         path.write_text("-1.0: 0 1\n")
         with pytest.raises(ValueError):
             dp.read_group_file(path)
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [("-1.0: 0 1\n", ValueError), ("1.0: 0 x\n", ValueError), ("1.0:\n", dp.EmptyGroup),
+         ("w: 0\n", ValueError), ("1.0 0 1\n", ValueError), ("# only a comment\n", ValueError),
+         ("1.0: -1\n", dp.IndexOutOfRange), ("1.0: 0 7\n", dp.IndexOutOfRange)],
+        ids=["negative weight", "non-integer index", "empty group", "non-numeric weight",
+             "no colon", "no groups", "negative index", "index beyond d"],
+    )
+    def test_group_file_errors_keep_their_type_and_name_the_file(self, tmp_path, text, error):
+        path = tmp_path / "groups.txt"
+        path.write_text(text)
+        with pytest.raises(error, match=f"^{re.escape(str(path))}: "):
+            dp.read_group_file(path, d=3)

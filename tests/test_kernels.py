@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from dagprox.kernels import blockwise_soft_threshold, nested_prox, penalty_value
 from oracles import (
     brute_force_two_group_log_penalty,
     dense_m,
+    latent_penalty_bracket,
     prox_kkt_residuals,
     textbook_group_soft_threshold,
 )
@@ -204,7 +207,9 @@ class TestLogPenalty:
         beta = np.array([1.0, 1.0])
         oracle = brute_force_two_group_log_penalty(beta, w)
         val = dp.log_penalty_value(beta, gs, 1.0)
-        assert val == pytest.approx(oracle, abs=1e-5)
+        # the nested groups put all of beta in {0, 1}
+        assert val == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert oracle == pytest.approx(val, abs=1e-5)
 
     def test_two_group_brute_force_nontrivial_split(self):
         # heavier second group forces part of beta_0 into the first group
@@ -213,7 +218,9 @@ class TestLogPenalty:
         beta = np.array([2.0, 0.5])
         oracle = brute_force_two_group_log_penalty(beta, w, span=4.0)
         val = dp.log_penalty_value(beta, gs, 1.0)
-        assert val == pytest.approx(oracle, abs=1e-5)
+        # stationarity of |a| + 3 ||(2 - a, 0.5)|| gives 2 - a = 0.5 / sqrt(8)
+        assert val == pytest.approx(2.0 + math.sqrt(2.0), rel=1e-15)
+        assert oracle == pytest.approx(val, abs=1e-5)
 
     @pytest.mark.parametrize("scale", [0.5, 2.0, 7.0])
     def test_positive_homogeneity(self, scale):
@@ -386,3 +393,68 @@ class TestNestedProx:
     def test_unnested_groups_rejected(self, fig1b_groups):
         with pytest.raises(ValueError, match="inclusion"):
             nested_prox(np.ones(4), 0.5, fig1b_groups)
+
+
+def assert_in_bracket(beta, gs, tol=1e-12):
+    value = dp.log_penalty_value(beta, gs, 1.0)
+    lower, upper = latent_penalty_bracket(beta, gs)
+    slack = tol * max(1.0, upper)
+    assert lower - slack <= value <= upper + slack
+    return value
+
+
+class TestNestedPenalty:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_chain_within_the_admm_bracket(self, seed):
+        rng = np.random.default_rng(seed)
+        num_nodes = int(rng.integers(2, 10))
+        dims = rng.integers(1, 4, num_nodes)
+        gs = chain_groups(num_nodes, dims, rng.uniform(0.2, 3.0, num_nodes)).shuffled(seed)
+        beta = rng.standard_normal(gs.d) * rng.uniform(0.3, 4.0)
+        offsets = np.cumsum(dims) - dims
+        for k in rng.choice(num_nodes, size=seed % 3, replace=False):  # zero shells
+            beta[offsets[k] : offsets[k] + dims[k]] = 0.0
+        assert_in_bracket(beta, gs)
+
+    def test_repeated_groups(self):
+        gs = dp.build_index_map([[0, 1], [0], [0, 1], [0]], weights=[2.0, 1.0, 0.5, 3.0], d=2)
+        value = assert_in_bracket(np.array([3.0, 4.0]), gs)
+        # the copy of [0, 1] with weight 0.5 carries all of beta
+        assert value == pytest.approx(2.5, rel=1e-15)
+
+    def test_uncovered_zero_coordinates(self):
+        gs = dp.build_index_map([[1], [1, 3]], weights=[0.7, 1.9], d=5)
+        assert_in_bracket(np.array([0.0, 1.5, 0.0, -0.5, 0.0]), gs)
+
+    def test_single_group_is_a_weighted_norm(self):
+        gs = chain_groups(1, dims=[3], weights=[1.7])
+        beta = np.array([2.0, -1.0, 2.0])
+        assert assert_in_bracket(beta, gs) == pytest.approx(1.7 * 3.0, rel=1e-15)
+
+    @pytest.mark.parametrize("scale", [2.0**-30, 0.5, 3.0, 1e6])
+    def test_positive_homogeneity(self, scale):
+        rng = np.random.default_rng(5)
+        gs = chain_groups(7, rng.integers(1, 4, 7), rng.uniform(0.2, 3.0, 7))
+        beta = rng.standard_normal(gs.d)
+        base = dp.log_penalty_value(beta, gs, 1.0)
+        assert dp.log_penalty_value(scale * beta, gs, 2.0) == pytest.approx(
+            2.0 * scale * base, rel=1e-14
+        )
+
+    @pytest.mark.parametrize("exponent", [-1000, -600, 600, 1000])
+    def test_power_of_two_scales_are_exact(self, exponent):
+        # squared entries would underflow to 0 or overflow to inf
+        rng = np.random.default_rng(6)
+        gs = chain_groups(5, rng.integers(1, 4, 5))
+        beta = rng.standard_normal(gs.d)
+        scaled = dp.log_penalty_value(np.ldexp(beta, exponent), gs, 1.0)
+        assert scaled == math.ldexp(dp.log_penalty_value(beta, gs, 1.0), exponent)
+
+    def test_takes_no_evaluator_iteration(self, monkeypatch, fig1b_groups):
+        gs = chain_groups(6, dims=[2] * 6)
+        beta = np.random.default_rng(3).standard_normal(12)
+        exact = dp.log_penalty_value(beta, gs, 1.0)
+        monkeypatch.setattr(dp.kernels, "PENALTY_MAX_ITER", 0)
+        assert dp.log_penalty_value(beta, gs, 1.0) == exact
+        with pytest.raises(dp.NoConvergence):
+            dp.log_penalty_value(np.ones(4), fig1b_groups, 1.0)

@@ -293,8 +293,9 @@ class TestChainRecoveryFixture:
         # decomposition of beta, so it may not undercut the certified value
         # by more than the evaluator's own tolerance, and it is tight to the
         # inner tolerance tol_k of its step.  The chain's groups are nested,
-        # so every step's prox is exact to rounding and the relative gap lies
-        # in [-4.3e-10, 0]; C = 32 is the bound for inexact steps.
+        # so every step's prox and the evaluator's Omega are exact to
+        # rounding, and the relative gap lies in [-1.2e-13, 2.3e-13];
+        # C = 32 is the bound for inexact steps.
         dag, loss, sweep = chain_path
         groups = dp.ancestor_groups(dag)
         outer = dp.OuterOptions()

@@ -32,32 +32,50 @@ def test_every_traced_binding_is_wrapped(spans):
         installation.remove()
 
 
-def _fired_spans(spans, method) -> set[str]:
-    """Span names reached by one solve of a 3-node chain under the wrappers.
+def _fired_spans(spans, run) -> set[str]:
+    """Span names reached by ``run(chain)`` on a 3-node chain under the wrappers.
 
-    The study workload expects the asserted spans to fire: inlining one of
-    them into a solver loop would stop every traced study run.
+    The study and fit_path workloads expect the asserted spans to fire:
+    inlining one of them into a solver or learner loop would stop every
+    traced run of that workload.
     """
     tree = spans.SpanTree()
     installation = spans.Installation(tree)
-    gs = dp.ancestor_groups(dp.validate_dag(3, [(0, 1), (1, 2)]))
-    inst = dp.ProxInstance(b=np.ones(3), lam=0.1, group_set=gs)
+    chain = dp.validate_dag(3, [(0, 1), (1, 2)])
     try:
         installation.install()
-        dp.solve_prox(inst, method)
+        run(chain)
     finally:
         installation.remove()
     return {node.name for node in tree.root.walk()}
+
+
+def _solve(method):
+    def run(chain):
+        inst = dp.ProxInstance(b=np.ones(3), lam=0.1, group_set=dp.ancestor_groups(chain))
+        dp.solve_prox(inst, method)
+
+    return run
 
 
 def test_pgm_step_reaches_the_traced_norm(spans):
     assert {
         "solvers.pgm", "kernels.operator_norm_sq", "kernels.blockwise_soft_threshold",
         "kernels.apply", "kernels.adjoint_apply",
-    } <= _fired_spans(spans, "pgm")
+    } <= _fired_spans(spans, _solve("pgm"))
 
 
 def test_bcd_sweep_reaches_the_traced_kernels(spans):
     assert {
         "solvers.bcd", "kernels.group_soft_threshold", "diagnostics.objective_and_proxgrad",
-    } <= _fired_spans(spans, "bcd")
+    } <= _fired_spans(spans, _solve("bcd"))
+
+
+def test_chain_fit_reaches_the_traced_evaluator(spans):
+    # the closed-form penalty of nested groups lives inside the evaluator's
+    # method, so the fit_path span still fires
+    loss = dp.LeastSquaresLoss(np.eye(3), np.array([1.0, 2.0, 3.0]))
+    assert {
+        "learn.fit", "solvers.sharing", "kernels.penalty_evaluator",
+        "kernels.blockwise_soft_threshold", "kernels.objective_f",
+    } <= _fired_spans(spans, lambda chain: dp.fit(loss, chain, 0.1))
