@@ -221,8 +221,14 @@ def nested_prox(
     if order is None:
         raise ValueError("nested_prox needs groups ordered by inclusion")
     m = group_set.num_groups
-    t_sq = (lam * group_set.weights[order]) ** 2
-    shell, _, c, ends = _nested_blocks(b, t_sq, group_set, 1.0)
+    # c is scale-free: the rule runs on b and lam scaled by an exact power of
+    # two, so the squared energies neither overflow nor underflow.  A squared
+    # threshold may still overflow when lam w exceeds |b| by ~1e154; at inf it
+    # gives the same c = 1 (theta = b) as any threshold that large.
+    e = math.frexp(float(np.abs(b).max()))[1]
+    with np.errstate(over="ignore"):
+        t_sq = np.ldexp(lam * group_set.weights[order], -e) ** 2
+    shell, _, c, ends = _nested_blocks(np.ldexp(b, -e), t_sq, group_set, 1.0)
 
     theta = c[shell] * b
     beta = b - theta

@@ -390,6 +390,17 @@ class TestNestedProx:
             _, beta, _ = assert_prox_kkt(b, lam, gs, tol=1e-11)
             assert np.any(beta)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_scales_match_the_unit_prox(self, scale):
+        # the prox is positively homogeneous in (b, lam); unscaled, the squared
+        # energies overflow at 1e200 and underflow at 1e-200
+        gs = chain_groups(4)
+        b = np.array([1.0, -2.0, 0.5, 3.0])
+        _, unit, _ = nested_prox(b, 0.5, gs)
+        assert np.allclose(unit, [0.735, -1.470, 0.368, 2.205], atol=5e-4)
+        _, beta, _ = nested_prox(scale * b, 0.5 * scale, gs)
+        assert np.allclose(beta / scale, unit, rtol=1e-12, atol=0)
+
     def test_unnested_groups_rejected(self, fig1b_groups):
         with pytest.raises(ValueError, match="inclusion"):
             nested_prox(np.ones(4), 0.5, fig1b_groups)

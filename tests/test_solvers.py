@@ -263,6 +263,109 @@ class TestWarmStart:
         assert warm.iterations < cold.iterations
 
 
+@pytest.fixture(scope="module")
+def tree_instance():
+    gs = dp.ancestor_groups(dp.bench.binary_tree(7))
+    return dp.ProxInstance(b=dp.bench.sample_input(gs.d, 0, 0), lam=0.5, group_set=gs)
+
+
+@pytest.fixture(scope="module")
+def uncovered_instance():
+    # coordinates 2 and 4 lie in no group: their c = 0 entries of g never reach x
+    gs = dp.build_index_map([[1], [1, 3], [0, 1]], d=5)
+    return dp.ProxInstance(b=np.array([2.0, 1.5, -1.0, 0.5, 4.0]), lam=0.4, group_set=gs)
+
+
+class TestSharingResiduals:
+    """The sharing loop reads both residuals off d-length sums.
+
+    They must still be the textbook ``||x1 - x2||`` and
+    ``rho ||x2_k - x2_(k-1)||`` of the iterates it hands the callback.
+    """
+
+    @pytest.mark.parametrize("rho", [1.0, 2.5])
+    @pytest.mark.parametrize(
+        "instance", ["small_instance", "chain_instance", "tree_instance", "uncovered_instance"]
+    )
+    def test_traced_residuals_match_the_iterates(self, instance, rho, request):
+        inst = request.getfixturevalue(instance)
+        opts = dp.SolveOptions(rho=rho, trace_every=1)
+        seen = []
+        res = dp.prox_log_admm_sharing(
+            inst, opts, callback=lambda k, x1, x2, y: seen.append((x1.copy(), x2.copy()))
+        )
+        assert res.converged and len(seen) == res.iterations
+        x2_prev = np.zeros(inst.n)
+        primal, dual = [], []
+        for x1, x2 in seen:
+            primal.append(np.linalg.norm(x1 - x2))
+            dual.append(rho * np.linalg.norm(x2 - x2_prev))
+            x2_prev = x2
+        traced = [(r.primal_res, r.dual_res) for r in res.trace]
+        np.testing.assert_allclose(traced, np.column_stack([primal, dual]), rtol=1e-9, atol=1e-14)
+
+    @pytest.mark.parametrize("instance", ["small_instance", "chain_instance", "tree_instance"])
+    def test_untraced_run_takes_the_traced_path(self, instance, request):
+        # without a trace the dual residual is computed only once the primal
+        # test passes; the iterates and the stop must not notice
+        inst = request.getfixturevalue(instance)
+        quiet = dp.prox_log_admm_sharing(inst)
+        traced = dp.prox_log_admm_sharing(inst, dp.SolveOptions(trace_every=1))
+        assert quiet.iterations == traced.iterations
+        assert quiet.x.tobytes() == traced.x.tobytes()
+
+
+def copies_agree(y, inst) -> bool:
+    """Whether every latent copy of a coordinate holds the same bits in ``y``."""
+    coords = inst.group_set.stacked_coords
+    per_coordinate = np.empty(inst.d)
+    per_coordinate[coords] = y
+    return np.array_equal(y, per_coordinate[coords])
+
+
+class TestSharingDualState:
+    """The multiplier lives in R^d: one value per coordinate, copied to its groups."""
+
+    def test_returned_dual_is_one_value_per_coordinate(self, small_instance):
+        assert copies_agree(dp.prox_log_admm_sharing(small_instance).state.y, small_instance)
+
+    def test_warm_start_keeps_the_mean_of_disagreeing_copies(self, small_instance):
+        op = small_instance.operator
+        cold = dp.prox_log_admm_sharing(small_instance)
+        # z - M^T(M z / c) has zero sum over every coordinate's copies
+        z = np.random.default_rng(5).standard_normal(small_instance.n)
+        z -= op.adjoint_apply(op.apply(z) / op.cover_counts)
+        y = cold.state.y + z
+        assert not copies_agree(y, small_instance)
+        warm = dp.prox_log_admm_sharing(
+            small_instance, state=dp.SolverState(x1=cold.state.x1, x2=cold.state.x2, y=y)
+        )
+        assert warm.converged
+        assert np.max(np.abs(warm.beta - cold.beta)) <= 1e-7
+
+
+class TestSharingIterationCounts:
+    """Iteration counts at tol 1e-8, as the per-copy multiplier loop took them.
+
+    Keeping the multiplier in R^d changes rounding only; a count that moves
+    here means the stopping rule or the iteration changed.
+    """
+
+    COUNTS = {
+        ("two_layer", 0): 81, ("two_layer", 1): 112, ("two_layer", 2): 82,
+        ("binary_tree", 0): 318, ("binary_tree", 1): 428, ("binary_tree", 2): 339,
+        ("root_two_paths", 0): 1597, ("root_two_paths", 1): 1447, ("root_two_paths", 2): 1183,
+    }
+
+    @pytest.mark.parametrize("topology, seed", sorted(COUNTS))
+    def test_counts_unchanged(self, topology, seed):
+        gs = dp.ancestor_groups(dp.bench.make_topology(topology))
+        inst = dp.ProxInstance(b=dp.bench.sample_input(gs.d, seed, 0), lam=0.5, group_set=gs)
+        res = dp.prox_log_admm_sharing(inst, dp.SolveOptions(tol_primal=1e-8, tol_dual=1e-8))
+        assert res.converged
+        assert res.iterations == self.COUNTS[topology, seed]
+
+
 class TestTracing:
     def test_trace_every_stride_plus_final(self, small_instance):
         opts = dp.SolveOptions(trace_every=5, max_iter=100_000)
