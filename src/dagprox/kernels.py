@@ -35,8 +35,7 @@ __all__ = [
 #: largest stacked dimension for which a dense M may be materialized
 DENSE_CAP = 4096
 
-#: stopping tolerance of the latent penalty evaluation, relative to
-#: ``max(1, ||beta||)``
+#: relative duality gap at which the latent penalty evaluation stops
 PENALTY_TOL = 1e-10
 
 #: iteration budget of the latent penalty evaluation
@@ -263,117 +262,107 @@ def objective_and_residual(x: np.ndarray, inst: ProxInstance) -> tuple[float, np
 
 
 class LatentPenaltyEvaluator:
-    """Evaluates the latent overlapping group penalty, reusing solver state.
+    """Evaluates the latent overlapping group penalty ``lam * Omega(beta)``.
 
     ``Omega(beta)``, the infimum of ``sum_g w_g ||nu_g||_2`` over latent
     decompositions ``sum_g nu_g = beta``, equals its dual
-    ``max <theta, beta>`` subject to ``||theta_g|| <= w_g``.  On nested
-    groups (``group_set.nested_order`` is not ``None``) that maximum is
-    closed form: the block rule of :func:`nested_prox` with the squared
-    weights ``W_k`` in place of ``t_k^2`` and no cap gives
+    ``max <theta, beta>`` subject to ``||theta_g|| <= w_g`` (Jacob,
+    Obozinski & Vert 2009).  ``Omega`` is positively homogeneous, so it is
+    evaluated at ``unit = 2^-e beta`` (``e`` from ``frexp`` of
+    ``max |beta|``), where no square overflows or underflows.  The
+    evaluator keeps no state between calls.
+
+    On nested groups (``group_set.nested_order`` is not ``None``) the
+    maximum is closed form: the block rule of :func:`nested_prox` with the
+    squared weights ``W_k`` in place of ``t_k^2`` and no cap gives
     ``Omega = sum over blocks of sqrt((E_k - E_p)(W_k - W_p))``, the limit
     of ``nested_prox``'s projection of ``s * beta`` as ``s`` grows.
 
-    On any other family a scaled two-block ADMM solves the constrained
-    problem: one block is the separable group prox, the other the exact
-    projection onto the affine set ``M x = beta`` (``M M^T`` is diagonal,
-    so the projection is a d-dimensional consensus correction).  Repeated
-    evaluations at nearby points (an outer optimization loop) warm-start
-    from the previous latent/dual pair; accuracy is governed by the
-    stopping rule alone: primal and dual residuals at most
-    :data:`PENALTY_TOL` times ``max(1, ||beta||)``, within
-    :data:`PENALTY_MAX_ITER` iterations.  The value returned is the
-    penalty of a feasible decomposition, an upper bound tight to that
-    tolerance.
+    On any other family the sharing iteration of the prox solver runs with
+    its data term replaced by the constraint ``M x = unit``: the group prox
+    with thresholds ``w_g / rho`` at ``x1 + M^T (g - w)``, the consensus
+    step ``g = (unit - M x1) / c`` (``x2 = x1 + M^T g`` is the projection
+    onto ``{M x = unit}``) and the dual step ``w <- w - g`` on one scaled
+    multiplier per coordinate.  ``rho = mean(w_g) sqrt(m) / ||unit||``,
+    rebalanced every 50 iterations.  At iterations 1, 2, 4, 8, ... (so
+    that easy inputs stop early) and every 10th, the loop brackets
+    ``Omega(unit)`` between ``lower = <theta, unit>``, with ``theta = -w``
+    scaled onto ``{||theta_g|| <= w_g}`` (weak duality), and ``upper``, the
+    penalty of the feasible ``x2``.  It returns ``lam 2^e upper`` once
+    ``upper - lower <= PENALTY_TOL * upper`` and raises
+    :class:`NoConvergence` after :data:`PENALTY_MAX_ITER` iterations.
     """
 
     def __init__(self, group_set: GroupSet):
         self.group_set = group_set
         self.op = SumOperator(group_set)
-        cover = self.op.cover_counts
-        self._c_safe = np.where(cover > 0, cover, 1).astype(float)
-        self._x2: Optional[np.ndarray] = None
-        self._u: Optional[np.ndarray] = None
-        self._rho: Optional[float] = None
-
-    def _project(self, x: np.ndarray, beta: np.ndarray) -> np.ndarray:
-        """Exact projection onto ``{x : M x = beta}`` (consensus correction)."""
-        r = beta - self.op.apply(x)
-        return x + self.op.adjoint_apply(r / self._c_safe)
 
     def value(self, beta, lam: float, latent_hint: Optional[np.ndarray] = None) -> float:
         """``lam * Omega(beta)``; ``inf`` if beta has support off the group cover.
 
         ``latent_hint`` is an optional stacked vector whose copy-sums equal
-        (or approximate) ``beta``; it seeds the ADMM's feasible block and is
-        not needed on nested groups.
+        (or approximate) ``beta``; its projection onto ``{M x = beta}``
+        replaces the equal split as the first iterate.  Nested groups
+        ignore it.
         """
         gs = self.group_set
+        op = self.op
         beta = np.asarray(beta, dtype=float)
         if beta.shape != (gs.d,):
             raise DimensionMismatch(f"beta has shape {beta.shape}, expected ({gs.d},)")
         if not np.all(np.isfinite(beta)):
             raise NonFiniteInput("beta contains non-finite entries")
-        cover = self.op.cover_counts
+        cover = op.cover_counts
         if np.any((cover == 0) & (beta != 0.0)):
             return float("inf")
         if not np.any(beta):
             return 0.0
+        e = math.frexp(float(np.max(np.abs(beta))))[1]
+        unit = np.ldexp(beta, -e)
         order = gs.nested_order
         if order is not None:
-            # the support function of {||theta_g|| <= w_g} at beta: the limit
-            # s -> inf of nested_prox's projection of s * beta, with no cap.
-            # Omega is positively homogeneous, and scaling by 2^-e is exact,
-            # so the squared energies neither overflow nor underflow.
-            e = math.frexp(float(np.max(np.abs(beta))))[1]
-            unit = np.ldexp(beta, -e)
+            # the support function of {||theta_g|| <= w_g} at unit: the limit
+            # s -> inf of nested_prox's projection of s * unit, with no cap
             _, energy, c, ends = _nested_blocks(unit, gs.weights[order] ** 2, gs, math.inf)
             return float(lam * math.ldexp(c[ends] @ np.diff(energy[ends], prepend=0.0), e))
 
-        scale = max(1.0, float(np.linalg.norm(beta)))
-        w = gs.weights
-        if self._rho is None:
-            # thresholds w/rho should sit at the scale of the latent entries
-            self._rho = max(
-                1.0, float(w.mean()) * np.sqrt(gs.num_groups) / float(np.linalg.norm(beta))
-            )
-        rho = self._rho
-        if latent_hint is not None:
-            x2 = self._project(np.asarray(latent_hint, dtype=float), beta)
-        elif self._x2 is not None:
-            x2 = self._project(self._x2, beta)
-        else:
-            x2 = self.op.adjoint_apply(beta / self._c_safe)  # equal split
-        u = np.zeros(gs.n) if self._u is None else self._u.copy()
-
+        weights = gs.weights
+        c_safe = np.maximum(cover, 1.0)  # unit and M x1 are 0 where uncovered
+        rho = float(weights.mean()) * math.sqrt(gs.num_groups) / float(np.linalg.norm(unit))
+        thresholds = weights / rho
+        hint = np.zeros(gs.n) if latent_hint is None else np.asarray(latent_hint, dtype=float)
+        if not np.all(np.isfinite(hint)):
+            raise NonFiniteInput("latent_hint contains non-finite entries")
+        x1 = np.ldexp(hint, -e)
+        g = (unit - op.apply(x1)) / c_safe
+        w = np.zeros(gs.d)
+        gap = math.inf
         for it in range(1, PENALTY_MAX_ITER + 1):
-            x1 = blockwise_soft_threshold(x2 - u, w / rho, gs)
-            v = x1 + u
-            x2_new = self._project(v, beta)
-            u = u + x1 - x2_new
-            primal = float(np.linalg.norm(x1 - x2_new))
-            dual = float(rho * np.linalg.norm(x2_new - x2))
-            x2 = x2_new
-            if primal <= PENALTY_TOL * scale and dual <= PENALTY_TOL * scale:
-                break
-            # residual balancing keeps the evaluator robust to beta's scale;
-            # the scaled dual u = y/rho must be rescaled with rho
+            x1_prev, g_prev = x1, g
+            x1 = blockwise_soft_threshold(x1 + op.adjoint_apply(g - w), thresholds, gs)
+            g = (unit - op.apply(x1)) / c_safe
+            w = w - g
+            if it % 10 == 0 or it & (it - 1) == 0:
+                upper = penalty_value(x1 + op.adjoint_apply(g), gs, 1.0)
+                worst = float(np.max(_segment_norms(op.adjoint_apply(w), gs) / weights))
+                lower = -float(w @ unit) / worst if worst > 0 else 0.0
+                gap = (upper - lower) / upper
+                if gap <= PENALTY_TOL:
+                    return float(lam * math.ldexp(upper, e))
             if it % 50 == 0:
+                # residual balancing of ||x1 - x2|| against rho ||x2_k - x2_(k-1)||;
+                # the scaled multiplier w = y / rho rescales with rho
+                primal = math.sqrt(cover @ (g * g))
+                dual = rho * float(np.linalg.norm(x1 - x1_prev + op.adjoint_apply(g - g_prev)))
                 if primal > 10.0 * dual:
-                    rho *= 2.0
-                    u /= 2.0
+                    rho, w = 2.0 * rho, w / 2.0
                 elif dual > 10.0 * primal:
-                    rho /= 2.0
-                    u *= 2.0
-        else:
-            raise NoConvergence(
-                f"penalty evaluation did not reach tol={PENALTY_TOL} "
-                f"in {PENALTY_MAX_ITER} iterations"
-            )
-        self._x2, self._u, self._rho = x2, u, rho
-        # x2 is feasible by construction; its penalty upper-bounds the
-        # infimum and is tight at the stopping tolerance
-        return penalty_value(x2, gs, lam)
+                    rho, w = rho / 2.0, 2.0 * w
+                thresholds = weights / rho
+        raise NoConvergence(
+            f"penalty evaluation reached relative gap {gap:.2g} > {PENALTY_TOL} "
+            f"after {PENALTY_MAX_ITER} iterations"
+        )
 
 
 def log_penalty_value(beta: np.ndarray, group_set: GroupSet, lam: float) -> float:
@@ -382,8 +371,10 @@ def log_penalty_value(beta: np.ndarray, group_set: GroupSet, lam: float) -> floa
     One-shot form of :class:`LatentPenaltyEvaluator`; see there for the
     method.  Returns ``inf`` when ``beta`` has support outside the union
     of groups (no decomposition exists).  Exact on nested groups; on any
-    other family :data:`PENALTY_TOL` bounds the ADMM's feasibility residual
-    and dual movement relative to ``max(1, ||beta||)``.
+    other family the value is the penalty of a feasible decomposition,
+    within :data:`PENALTY_TOL` relative of a dual lower bound.  Scaling
+    ``beta`` by ``2^k`` scales the value by exactly ``2^k`` while every
+    entry stays a normal float.
     """
     return LatentPenaltyEvaluator(group_set).value(beta, lam)
 

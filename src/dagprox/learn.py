@@ -257,8 +257,9 @@ def fit(
     counts one sharing iteration per outer step and the trace points are
     exact.  ``FitResult.objective`` takes ``Omega`` from
     :class:`LatentPenaltyEvaluator` on the final ``beta``: exact on nested
-    groups, otherwise certified by one high-accuracy evaluator solve
-    warm-started from its latent.  An inner solve that exhausts
+    groups, otherwise the penalty of a feasible decomposition within
+    ``PENALTY_TOL`` (relative) of a dual lower bound, started from the
+    inner latent.  An inner solve that exhausts
     its iteration budget raises :class:`InnerSolverWarning` and the outer
     loop continues with the inexact prox.  ``FitResult.support`` and
     ``FitResult.hierarchy`` count a coefficient as nonzero when its

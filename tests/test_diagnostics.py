@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,6 +175,24 @@ class TestRateFit:
         fit = dp.fit_linear_rate(res.trace, f_star, tail_fraction=0.5, min_gap=1e-12)
         assert fit.r_squared >= 0.95
         assert fit.log_rate < 0
+
+
+class TestSummaryRates:
+    def test_rates_hold_when_f_star_moves_by_an_ulp(self):
+        # an absolute 1e-14 gap floor sits near one ulp of f_star ~ 35 on
+        # two_layer, so its fitted tail moved with f_star's last digit and the
+        # rates by up to 37% here
+        run = dp.bench.run_benchmark(dp.bench.BenchmarkSpec("two_layer", reps=2))
+        base = dp.bench.summary_rows(run)
+        for ulps in (-2, -1, 1, 2):
+            moved = []
+            for inst in run.instances:
+                f_star = inst.f_star
+                for _ in range(abs(ulps)):
+                    f_star = np.nextafter(f_star, ulps * np.inf)
+                moved.append(replace(inst, f_star=f_star))
+            for row, ref in zip(dp.bench.summary_rows(replace(run, instances=moved)), base):
+                assert row["rate"] == pytest.approx(ref["rate"], rel=1e-3), (ulps, row["solver"])
 
 
 class TestEpsilonOptimality:

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dagprox as dp
+from dagprox import bench
 from dagprox.bench import reference_solution
-from dagprox.kernels import blockwise_soft_threshold, nested_prox, penalty_value
+from dagprox.kernels import PENALTY_TOL, blockwise_soft_threshold, nested_prox, penalty_value
 from oracles import (
     brute_force_two_group_log_penalty,
     dense_m,
@@ -406,11 +407,16 @@ class TestNestedProx:
             nested_prox(np.ones(4), 0.5, fig1b_groups)
 
 
-def assert_in_bracket(beta, gs, tol=1e-12):
+def assert_in_bracket(beta, gs, tol=1e-12, gap=0.0):
+    """The value lies in the oracle's bracket, widened above by ``gap``.
+
+    ``gap`` is the evaluator's own relative duality gap: 0 where the value
+    is closed form, :data:`PENALTY_TOL` where the loop certifies it.
+    """
     value = dp.log_penalty_value(beta, gs, 1.0)
     lower, upper = latent_penalty_bracket(beta, gs)
     slack = tol * max(1.0, upper)
-    assert lower - slack <= value <= upper + slack
+    assert lower - slack <= value <= upper + slack + gap * value
     return value
 
 
@@ -469,3 +475,54 @@ class TestNestedPenalty:
         assert dp.log_penalty_value(beta, gs, 1.0) == exact
         with pytest.raises(dp.NoConvergence):
             dp.log_penalty_value(np.ones(4), fig1b_groups, 1.0)
+
+
+#: group families whose ancestor or random groups are not nested
+UNNESTED = {
+    "fig1b": lambda: dp.ancestor_groups(dp.validate_dag(4, [(0, 2), (1, 2), (1, 3)])),
+    **{f"random{seed}": (lambda seed=seed: random_group_set(seed)) for seed in range(21, 25)},
+    "two_layer21": lambda: dp.ancestor_groups(bench.two_layer(21)),
+    "binary_tree4": lambda: dp.ancestor_groups(bench.binary_tree(4)),
+    "root_two_paths11": lambda: dp.ancestor_groups(bench.root_two_paths(11)),
+}
+
+FIG1B_BETA = np.array([1.0, -2.0, 0.5, 3.0])
+
+
+class TestUnnestedPenalty:
+    @pytest.mark.parametrize("family", UNNESTED)
+    def test_within_the_admm_bracket(self, family):
+        gs = UNNESTED[family]()
+        assert gs.nested_order is None
+        rng = np.random.default_rng(gs.n)
+        beta = np.where(gs.cover_counts > 0, rng.standard_normal(gs.d), 0.0)
+        assert_in_bracket(beta, gs, gap=PENALTY_TOL)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_scales_match_the_unit_value(self, fig1b_groups, scale):
+        # unscaled, the penalty overflows at 1e200 and the iteration stalls
+        # at 1e-200
+        base = dp.log_penalty_value(FIG1B_BETA, fig1b_groups, 1.0)
+        scaled = dp.log_penalty_value(scale * FIG1B_BETA, fig1b_groups, 1.0)
+        assert scaled / scale == pytest.approx(base, rel=PENALTY_TOL)
+
+    @pytest.mark.parametrize("exponent", [-1000, -600, 600, 1000])
+    def test_power_of_two_scales_are_exact(self, fig1b_groups, exponent):
+        scaled = dp.log_penalty_value(np.ldexp(FIG1B_BETA, exponent), fig1b_groups, 1.0)
+        assert scaled == math.ldexp(dp.log_penalty_value(FIG1B_BETA, fig1b_groups, 1.0), exponent)
+
+    def test_keeps_no_state_between_calls(self, fig1b_groups):
+        evaluator = dp.kernels.LatentPenaltyEvaluator(fig1b_groups)
+        first = evaluator.value(FIG1B_BETA, 1.0)
+        evaluator.value(np.array([0.3, 1.0, -4.0, 2.0]), 1.0)
+        assert evaluator.value(FIG1B_BETA, 1.0) == first
+
+    def test_non_finite_hint_rejected(self, fig1b_groups):
+        evaluator = dp.kernels.LatentPenaltyEvaluator(fig1b_groups)
+        with pytest.raises(dp.NonFiniteInput, match="latent_hint"):
+            evaluator.value(FIG1B_BETA, 1.0, latent_hint=np.full(fig1b_groups.n, np.nan))
+
+    def test_budget_exhaustion_names_the_gap_reached(self, monkeypatch, fig1b_groups):
+        monkeypatch.setattr(dp.kernels, "PENALTY_MAX_ITER", 20)
+        with pytest.raises(dp.NoConvergence, match=r"relative gap \S+ > 1e-10 after 20 iter"):
+            dp.log_penalty_value(FIG1B_BETA, fig1b_groups, 1.0)

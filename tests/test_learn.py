@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dagprox as dp
-from oracles import central_difference_gradient, warm_started_fit
+from oracles import central_difference_gradient, latent_penalty_bracket, warm_started_fit
 
 
 def chain_dag(n):
@@ -198,6 +198,16 @@ class TestFit:
         )
         assert result.beta.tobytes() == beta.tobytes()
         assert (result.outer_iterations, result.inner_iters) == (outer_iters, inner_iters)
+
+    @pytest.mark.parametrize("frac", [0.02, 0.1, 0.3])
+    def test_tree_fit_objective_within_the_oracle_bracket(self, small_problem, frac):
+        _, loss = small_problem
+        tree = dp.validate_dag(6, TREE_EDGES)
+        lam = frac * dp.lambda_max(loss, tree)
+        result = dp.fit(loss, tree, lam)
+        lower, upper = latent_penalty_bracket(result.beta, dp.ancestor_groups(tree))
+        penalty = result.objective - loss.value(result.beta)
+        assert lam * lower * (1.0 - 1e-10) <= penalty <= lam * upper * (1.0 + 1e-10)
 
     def test_negative_lambda_rejected(self, small_problem):
         dag, loss = small_problem

@@ -32,6 +32,18 @@ def test_every_traced_binding_is_wrapped(spans):
         installation.remove()
 
 
+def _span_tree(spans, run, dag):
+    """The span tree of ``run(dag)`` under the wrappers."""
+    tree = spans.SpanTree()
+    installation = spans.Installation(tree)
+    try:
+        installation.install()
+        run(dag)
+    finally:
+        installation.remove()
+    return tree
+
+
 def _fired_spans(spans, run) -> set[str]:
     """Span names reached by ``run(chain)`` on a 3-node chain under the wrappers.
 
@@ -39,15 +51,8 @@ def _fired_spans(spans, run) -> set[str]:
     inlining one of them into a solver or learner loop would stop every
     traced run of that workload.
     """
-    tree = spans.SpanTree()
-    installation = spans.Installation(tree)
     chain = dp.validate_dag(3, [(0, 1), (1, 2)])
-    try:
-        installation.install()
-        run(chain)
-    finally:
-        installation.remove()
-    return {node.name for node in tree.root.walk()}
+    return {node.name for node in _span_tree(spans, run, chain).root.walk()}
 
 
 def _solve(method):
@@ -79,3 +84,16 @@ def test_chain_fit_reaches_the_traced_evaluator(spans):
         "learn.fit", "solvers.sharing", "kernels.penalty_evaluator",
         "kernels.blockwise_soft_threshold", "kernels.objective_f",
     } <= _fired_spans(spans, lambda chain: dp.fit(loss, chain, 0.1))
+
+
+def test_tree_fit_evaluator_iterates_through_the_traced_kernel(spans):
+    # perfbench/layers.py counts the evaluator's soft-threshold children as
+    # kernels.penalty_evaluator.iters; a tree's ancestor groups are not
+    # nested, so its evaluator iterates
+    tree = dp.validate_dag(4, [(0, 1), (0, 2), (1, 3)])
+    loss = dp.LeastSquaresLoss(np.eye(4), np.array([1.0, 2.0, 3.0, 4.0]))
+    root = _span_tree(spans, lambda dag: dp.fit(loss, dag, 0.1), tree).root
+    evaluators = [node for node in root.walk() if node.name == "kernels.penalty_evaluator"]
+    assert evaluators
+    for node in evaluators:
+        assert node.children["kernels.blockwise_soft_threshold"].count >= 10
