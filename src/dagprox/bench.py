@@ -44,10 +44,6 @@ __all__ = [
 #: objective-gap thresholds tabulated in benchmark summaries
 EPSILONS = tuple(10.0 ** (-e) for e in range(2, 9))
 
-#: gap floor of the summary rate fits relative to ``max(1, |f_star|)``, far
-#: above the rounding of ``f_star``
-RATE_MIN_GAP_REL = 1e-13
-
 
 def two_layer(d: int) -> Dag:
     """One root with ``d - 1`` children."""
@@ -284,8 +280,7 @@ def summary_rows(run: BenchmarkRun) -> list[dict]:
         rates, r2s = [], []
         for inst in run.instances:
             try:
-                min_gap = RATE_MIN_GAP_REL * max(1.0, abs(inst.f_star))
-                rf = fit_linear_rate(inst.results[name].trace, inst.f_star, min_gap=min_gap)
+                rf = fit_linear_rate(inst.results[name].trace, inst.f_star)
             except InsufficientData:
                 continue
             rates.append(rf.log_rate)

@@ -21,6 +21,10 @@ __all__ = [
     "fit_linear_rate",
 ]
 
+#: default gap floor of :func:`fit_linear_rate` relative to ``max(1, |f_star|)``,
+#: far above the rounding of ``f_star``
+RATE_MIN_GAP_REL = 1e-13
+
 TRACE_HEADER = ["iter", "wall_s", "objective", "primal_res", "dual_res", "proxgrad_norm"]
 _ROW_FORMAT = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
 
@@ -195,12 +199,14 @@ def fit_linear_rate(
     trace: ConvergenceTrace,
     f_star: float,
     tail_fraction: float = 0.5,
-    min_gap: float = 1e-14,
+    min_gap: Optional[float] = None,
 ) -> RateFit:
     """Fit ``ln(f(x^k) - f_star)`` against ``k`` over the trailing records.
 
     Gaps are clamped at zero and records with gap ``<= min_gap`` dropped
-    before selecting the trailing ``tail_fraction`` of what remains.  A
+    before selecting the trailing ``tail_fraction`` of what remains.
+    ``min_gap`` defaults to ``RATE_MIN_GAP_REL * max(1, |f_star|)``, so
+    the fit never reaches the points that one ulp of ``f_star`` moves.  A
     zero-variance tail is a degenerate perfect fit (slope from the normal
     equations, ``r_squared = 1``).
 
@@ -208,6 +214,8 @@ def fit_linear_rate(
     """
     if not 0 < tail_fraction <= 1:
         raise ValueError("tail_fraction must lie in (0, 1]")
+    if min_gap is None:
+        min_gap = RATE_MIN_GAP_REL * max(1.0, abs(f_star))
     gaps = np.maximum(trace.objectives - f_star, 0.0)
     usable = gaps > min_gap
     ks = trace.iters[usable]

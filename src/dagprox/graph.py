@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
@@ -188,12 +188,11 @@ class GroupSet:
     groups: tuple[np.ndarray, ...]
     weights: np.ndarray
     d: int
-    index_ranges: tuple[tuple[int, int], ...] = field(repr=False)
 
-    @property
+    @cached_property
     def n(self) -> int:
         """Stacked dimension, sum of group sizes."""
-        return self.index_ranges[-1][1] if self.index_ranges else 0
+        return int(self.sizes.sum())
 
     @property
     def num_groups(self) -> int:
@@ -206,7 +205,12 @@ class GroupSet:
     @cached_property
     def starts(self) -> np.ndarray:
         """Range starts, suitable for segment reductions over the stacked vector."""
-        return np.array([lo for lo, _ in self.index_ranges], dtype=np.intp)
+        return np.cumsum(self.sizes) - self.sizes
+
+    @cached_property
+    def index_ranges(self) -> tuple[tuple[int, int], ...]:
+        """Half-open stacked range ``(lo, hi)`` of every group."""
+        return tuple(zip(self.starts.tolist(), (self.starts + self.sizes).tolist()))
 
     @cached_property
     def stacked_coords(self) -> np.ndarray:
@@ -312,15 +316,7 @@ def _index_map(arrs, weights, d: int) -> GroupSet:
             )
         if np.any(w <= 0) or not np.all(np.isfinite(w)):
             raise ValueError("group weights must be positive and finite")
-
-    ranges = []
-    lo = 0
-    for a in arrs:
-        ranges.append((lo, lo + a.size))
-        lo += a.size
-    return GroupSet(
-        groups=tuple(arrs), weights=w, d=d, index_ranges=tuple(ranges)
-    )
+    return GroupSet(groups=tuple(arrs), weights=w, d=d)
 
 
 def _ancestor_sets(dag: Dag) -> list[set[int]]:

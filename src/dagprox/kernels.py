@@ -81,10 +81,6 @@ class SumOperator:
         m[self._coords, np.arange(self.n)] = 1.0
         return m
 
-    def norm_sq(self) -> float:
-        """``||M||_2^2``; see :func:`operator_norm_sq`."""
-        return operator_norm_sq(self)
-
 
 @dataclass
 class ProxInstance:
@@ -300,6 +296,8 @@ class LatentPenaltyEvaluator:
     def value(self, beta, lam: float, latent_hint: Optional[np.ndarray] = None) -> float:
         """``lam * Omega(beta)``; ``inf`` if beta has support off the group cover.
 
+        Otherwise ``lam = 0`` gives 0 without evaluating ``Omega``.
+
         ``latent_hint`` is an optional stacked vector whose copy-sums equal
         (or approximate) ``beta``; its projection onto ``{M x = beta}``
         replaces the equal split as the first iterate.  Nested groups
@@ -315,7 +313,7 @@ class LatentPenaltyEvaluator:
         cover = op.cover_counts
         if np.any((cover == 0) & (beta != 0.0)):
             return float("inf")
-        if not np.any(beta):
+        if lam == 0 or not np.any(beta):
             return 0.0
         e = math.frexp(float(np.max(np.abs(beta))))[1]
         unit = np.ldexp(beta, -e)

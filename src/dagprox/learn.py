@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Protocol, runtime_checkable
 
 import numpy as np
@@ -53,6 +53,9 @@ __all__ = [
 #: a coefficient counts toward the support, and the hierarchy check, when its
 #: magnitude exceeds this
 SUPPORT_THRESHOLD = 1e-8
+
+#: iteration budget of each inner sharing-ADMM solve (rho = 1, alpha = rho / 2)
+INNER_MAX_ITER = 20_000
 
 
 @runtime_checkable
@@ -220,9 +223,7 @@ def fit(
     dag_or_groups,
     lam: float,
     outer: Optional[OuterOptions] = None,
-    inner: Optional[SolveOptions] = None,
     accelerated: bool = False,
-    step: Optional[float] = None,
 ) -> FitResult:
     """Proximal-gradient fit of a smooth loss with the LOG penalty.
 
@@ -234,17 +235,19 @@ def fit(
         Hierarchy (ancestor groups are built) or an explicit group system.
     lam : float
         Penalty level, >= 0.
-    outer, inner : options
-        Outer-loop controls and inner sharing-ADMM options.
+    outer : OuterOptions, optional
+        Outer-loop controls.
     accelerated : bool
         Use momentum extrapolation on the outer sequence, with a gradient
         restart (O'Donoghue & Candes 2015).
-    step : float, optional
-        Outer step size; defaults to ``1 / lipschitz``.
 
     Notes
     -----
-    The outer stopping rule is the gradient-mapping norm
+    The outer step is ``s = 1 / L`` with ``L`` the loss's Lipschitz hint; a
+    loss without a finite positive hint raises ``ValueError``.  Each inner solve
+    is the sharing ADMM with ``rho = 1``, ``alpha = 1/2`` and at most
+    :data:`INNER_MAX_ITER` iterations.  The outer stopping rule is the
+    gradient-mapping norm
     ``||beta - prox(beta - s grad)|| / s <= outer.tol``.  Each trace point
     is ``L(beta) + lam * sum_g w_g ||x_g||`` on the inner solve's latent
     ``x``, an exact decomposition of ``beta`` (``M x = beta``) that is
@@ -268,7 +271,6 @@ def fit(
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
     outer = outer or OuterOptions()
-    inner = inner or SolveOptions(max_iter=20_000)
     group_set, dag = _resolve_groups(dag_or_groups)
     op = SumOperator(group_set)
     d = group_set.d
@@ -287,10 +289,9 @@ def fit(
             f"loss gradient has shape {probe.shape}, expected ({d},)"
         )
     lipschitz = loss.lipschitz_hint()
-    if step is None:
-        if lipschitz is None or lipschitz <= 0:
-            raise ValueError("loss gives no Lipschitz hint; pass an explicit step")
-        step = 1.0 / lipschitz
+    if lipschitz is None or not 0 < lipschitz < math.inf:
+        raise ValueError(f"loss gives no finite positive Lipschitz hint, got {lipschitz}")
+    step = 1.0 / lipschitz
 
     # the exact prox of nested groups is a fixed point of the sharing iteration
     nested = group_set.nested_order is not None
@@ -322,7 +323,7 @@ def fit(
         target = point - step * grad
 
         tol_k = max(outer.inner_tol_floor, outer.inner_tol_coeff / k**2)
-        inner_opts = replace(inner, tol_primal=tol_k, tol_dual=tol_k, trace_every=0)
+        inner_opts = SolveOptions(max_iter=INNER_MAX_ITER, tol_primal=tol_k, tol_dual=tol_k)
         prox_inst = ProxInstance(
             b=target, lam=step * lam, group_set=group_set, operator=op
         )

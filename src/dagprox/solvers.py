@@ -23,7 +23,7 @@ the latent minimizer is not.
   residual by expanding ``||x2_k - x2_(k-1)||^2`` around the ``M x1`` the
   step computes anyway.
 * ``prox_log_pgm`` is ISTA (optionally FISTA) with the exact separable
-  group prox; default step is ``1 / ||M||_2^2``.  ISTA's next gradient
+  group prox and step ``1 / ||M||_2^2``.  ISTA's next gradient
   point is its current iterate, so each step reuses the gradient that the
   stopping test at that iterate already computed; FISTA evaluates its
   gradient afresh at the extrapolated point.
@@ -61,6 +61,7 @@ from .kernels import (
     blockwise_soft_threshold,
     group_soft_threshold,
     objective_f,
+    operator_norm_sq,
 )
 
 __all__ = [
@@ -420,14 +421,14 @@ def prox_log_pgm(
     inst: ProxInstance,
     opts: Optional[SolveOptions] = None,
     accelerated: bool = False,
-    step: Optional[float] = None,
 ) -> ProxResult:
     """Proximal gradient (ISTA) or its accelerated variant (FISTA).
 
     A gradient step on ``0.5 ||M x - b||^2`` followed by the exact
-    separable group prox.  ``step`` defaults to ``1 / ||M||_2^2``; the
-    accelerated variant uses the standard momentum sequence with restarts
-    disabled.  Stops on the unit-step proximal-gradient norm.
+    separable group prox, with step ``1 / ||M||_2^2``
+    (:func:`~dagprox.kernels.operator_norm_sq`).  The accelerated variant
+    uses the standard momentum sequence with restarts disabled.  Stops on
+    the unit-step proximal-gradient norm.
 
     The stopping test at ``x_k`` computes ``M^T(M x_k - b)``, which is
     exactly ISTA's next gradient, so ISTA costs one ``apply`` /
@@ -436,10 +437,7 @@ def prox_log_pgm(
     pair.
     """
     opts = opts or SolveOptions()
-    if step is None:
-        step = 1.0 / inst.operator.norm_sq()
-    elif step <= 0:
-        raise InvalidStep(f"step must be positive, got {step}")
+    step = 1.0 / operator_norm_sq(inst.operator)
     gs = inst.group_set
     op = inst.operator
     thresholds = step * inst.lam * gs.weights
@@ -480,12 +478,12 @@ def prox_log_pgm(
     return _result(inst, x, status, k, tracer)
 
 
-def _solve_rbcd(inst, opts=None, **kw):
-    return prox_log_bcd(inst, opts, randomized=True, **kw)
+def _solve_rbcd(inst, opts=None):
+    return prox_log_bcd(inst, opts, randomized=True)
 
 
-def _solve_fista(inst, opts=None, **kw):
-    return prox_log_pgm(inst, opts, accelerated=True, **kw)
+def _solve_fista(inst, opts=None):
+    return prox_log_pgm(inst, opts, accelerated=True)
 
 
 SOLVER_NAMES = ("bcd", "rbcd", "sharing", "pgm", "fista")
@@ -499,7 +497,7 @@ _DISPATCH = {
 }
 
 
-def solve_prox(inst: ProxInstance, method: str = "sharing", opts: Optional[SolveOptions] = None, **kw) -> ProxResult:
+def solve_prox(inst: ProxInstance, method: str = "sharing", opts: Optional[SolveOptions] = None) -> ProxResult:
     """Dispatch a prox solve by solver name (one of ``SOLVER_NAMES``)."""
     try:
         fn = _DISPATCH[method]
@@ -507,4 +505,4 @@ def solve_prox(inst: ProxInstance, method: str = "sharing", opts: Optional[Solve
         raise ValueError(
             f"unknown solver {method!r}; choose from {', '.join(SOLVER_NAMES)}"
         ) from None
-    return fn(inst, opts, **kw)
+    return fn(inst, opts)

@@ -16,7 +16,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from dagprox.kernels import ProxInstance, blockwise_soft_threshold, penalty_value
+from dagprox.kernels import (
+    ProxInstance,
+    blockwise_soft_threshold,
+    operator_norm_sq,
+    penalty_value,
+)
 from dagprox.solvers import SolveOptions, prox_log_admm_sharing
 
 
@@ -127,7 +132,7 @@ def textbook_pgm(inst, max_iter, tol, accelerated=False):
     Returns ``(iterations, x, [(objective, proxgrad_norm) per iteration])``.
     """
     op, gs = inst.operator, inst.group_set
-    step = 1.0 / op.norm_sq()
+    step = 1.0 / operator_norm_sq(op)
     thresholds = step * inst.lam * gs.weights
     x = np.zeros(inst.n)
     if textbook_objective_and_proxgrad(x, inst)[1] <= tol:

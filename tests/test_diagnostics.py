@@ -147,10 +147,27 @@ class TestRateFit:
             dp.fit_linear_rate(trace, 0.0)
 
     def test_small_gaps_dropped(self):
-        # decays below 1e-14 after ~66 iterations; those records are ignored
+        # decays below the default floor (1e-13 at f_star = 0) after ~59
+        # iterations; those records are ignored
         trace = geometric_trace(0.0, 1.0, 0.6, 200, dp.ConvergenceTrace, TraceRecord)
         fit = dp.fit_linear_rate(trace, 0.0, tail_fraction=1.0)
         assert fit.log_rate == pytest.approx(np.log(0.6), abs=1e-9)
+
+    @pytest.mark.parametrize("ulps", [-2, -1, 1, 2])
+    def test_default_floor_ignores_ulp_moves_of_f_star(self, ulps):
+        # the gap decays geometrically onto a rounding plateau 2 ulp above
+        # f_star; an absolute floor of 1e-14 (1.4 ulp of 35.5) keeps or drops
+        # the plateau as f_star moves by one ulp
+        f_star = 35.5
+        ulp = np.spacing(f_star)
+        trace = dp.ConvergenceTrace()
+        for k in range(400):
+            obj = max(f_star + 3.0 * 0.9**k, f_star + 2 * ulp)
+            trace.append(TraceRecord(k, 0.0, obj, 0.0, 0.0, 0.0))
+        base = dp.fit_linear_rate(trace, f_star).log_rate
+        moved = dp.fit_linear_rate(trace, f_star + ulps * ulp).log_rate
+        assert base == pytest.approx(np.log(0.9), rel=1e-3)
+        assert moved == pytest.approx(base, rel=1e-3)
 
     def test_tail_fraction_selects_later_phase(self):
         # slow decay for 100 iterations, then fast decay

@@ -522,6 +522,12 @@ class TestUnnestedPenalty:
         with pytest.raises(dp.NonFiniteInput, match="latent_hint"):
             evaluator.value(FIG1B_BETA, 1.0, latent_hint=np.full(fig1b_groups.n, np.nan))
 
+    def test_zero_penalty_level_takes_no_evaluator_iteration(self, monkeypatch, fig1b_groups):
+        monkeypatch.setattr(dp.kernels, "PENALTY_MAX_ITER", 0)
+        assert dp.log_penalty_value(FIG1B_BETA, fig1b_groups, 0.0) == 0.0
+        off_cover = dp.build_index_map([[0, 1], [1, 2]], d=4)
+        assert dp.log_penalty_value(FIG1B_BETA, off_cover, 0.0) == math.inf
+
     def test_budget_exhaustion_names_the_gap_reached(self, monkeypatch, fig1b_groups):
         monkeypatch.setattr(dp.kernels, "PENALTY_MAX_ITER", 20)
         with pytest.raises(dp.NoConvergence, match=r"relative gap \S+ > 1e-10 after 20 iter"):

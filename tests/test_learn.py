@@ -167,17 +167,17 @@ class TestFit:
             result = dp.fit(loss, dag, lam)
             assert result.hierarchy.num_violations == 0
 
-    def test_inner_budget_warning(self, small_problem):
+    def test_inner_budget_warning(self, monkeypatch, small_problem):
         # on a chain the closed-form warm start converges in one inner step,
         # so the budget is exhausted on a tree instead
         _, loss = small_problem
         tree = dp.validate_dag(6, TREE_EDGES)
         lam = 0.1 * dp.lambda_max(loss, tree)
-        inner = dp.SolveOptions(max_iter=3)
+        monkeypatch.setattr(dp.learn, "INNER_MAX_ITER", 3)
         outer = dp.OuterOptions(max_iter=5, inner_tol_coeff=0.0, inner_tol_floor=1e-10)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            dp.fit(loss, tree, lam, outer=outer, inner=inner)
+            dp.fit(loss, tree, lam, outer=outer)
         assert sum(issubclass(w.category, dp.InnerSolverWarning) for w in caught) == 5
 
     @pytest.mark.parametrize("frac", [0.0, 0.02, 0.1, 0.3])
@@ -232,6 +232,13 @@ class TestFit:
     def test_bad_outer_options_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             dp.OuterOptions(**{field: value})
+
+    @pytest.mark.parametrize("hint", [None, 0.0, -1.0, float("nan"), float("inf")])
+    def test_loss_without_a_finite_positive_lipschitz_hint_rejected(self, hint):
+        loss = dp.LeastSquaresLoss(np.eye(3), np.ones(3))
+        loss.lipschitz_hint = lambda: hint
+        with pytest.raises(ValueError, match="Lipschitz"):
+            dp.fit(loss, chain_dag(3), 0.1)
 
     def test_gradient_dimension_checked(self):
         dag = chain_dag(3)

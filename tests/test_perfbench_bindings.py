@@ -2,9 +2,13 @@
 
 ``perfbench/spans.py`` wraps every traced function wherever the package
 binds it.  Deleting or renaming one of those names breaks every traced
-benchmark run, so the binding check runs here as an ordinary test.
+benchmark run, so the binding check runs here as an ordinary test.  The
+workloads themselves also run here, shrunk, so a name, keyword or option
+field they pass that the package no longer takes fails a test instead of
+the benchmark.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -97,3 +101,35 @@ def test_tree_fit_evaluator_iterates_through_the_traced_kernel(spans):
     assert evaluators
     for node in evaluators:
         assert node.children["kernels.blockwise_soft_threshold"].count >= 10
+
+
+def _shrunk_workloads(workloads) -> dict:
+    """Fresh instances of the benchmark's workloads, each a pass of well under a second."""
+    prox_tree = workloads.ProxTree()
+    prox_tree.depth, prox_tree.inputs = 5, 2
+    study = workloads.Study()
+    study.topologies = ("random_dag",)
+    return {"prox_tree": prox_tree, "study": study, "fit_path": workloads.FitPath()}
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("name", ["prox_tree", "study", "fit_path"])
+def test_shrunk_workload_passes_its_checks(spans, tmp_path, name, traced):
+    import workloads
+
+    wl = _shrunk_workloads(workloads)[name]
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    tree = spans.SpanTree()
+    installation = spans.Installation(tree)
+    try:
+        if traced:
+            installation.install()
+        state = wl.setup(0, PERFBENCH.parent)
+        ops = wl.run_pass(state, tmp_path)
+        reasons = {op.label: workloads.failures(wl, state, op, reference) for op in ops}
+    finally:
+        installation.remove()
+    assert ops
+    assert {label: r for label, r in reasons.items() if r} == {}
+    if traced:
+        assert wl.expected_spans <= {node.name for node in tree.root.walk() if node.count}

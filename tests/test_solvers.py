@@ -207,10 +207,6 @@ class TestOptionsAndErrors:
         with pytest.raises(dp.CapExceeded):
             dp.prox_log_admm_unscaled(inst)
 
-    def test_negative_step_pgm(self, small_instance):
-        with pytest.raises(dp.InvalidStep):
-            dp.prox_log_pgm(small_instance, step=-1.0)
-
     def test_unknown_solver(self, small_instance):
         with pytest.raises(ValueError):
             dp.solve_prox(small_instance, "newton")
@@ -377,14 +373,6 @@ class TestTracing:
     def test_no_trace_by_default(self, small_instance):
         res = dp.prox_log_admm_sharing(small_instance)
         assert len(res.trace) == 0
-
-    def test_pgm_explicit_step_matches_default(self, small_instance):
-        opts = dp.SolveOptions(trace_every=1, max_iter=2000)
-        auto = dp.prox_log_pgm(small_instance, opts)
-        manual = dp.prox_log_pgm(
-            small_instance, opts, step=1.0 / small_instance.operator.norm_sq()
-        )
-        assert np.array_equal(auto.trace.objectives, manual.trace.objectives)
 
 
 class TestTextbookLoops:
