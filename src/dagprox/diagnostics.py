@@ -127,7 +127,8 @@ def _proxgrad_from_gradient(x: np.ndarray, grad: np.ndarray, inst: ProxInstance)
     step_point = blockwise_soft_threshold(
         x - grad, inst.lam * inst.group_set.weights, inst.group_set
     )
-    return float(np.linalg.norm(x - step_point))
+    diff = x - step_point
+    return math.sqrt(diff @ diff)  # the float np.linalg.norm returns
 
 
 def objective_and_proxgrad(x: np.ndarray, inst: ProxInstance) -> tuple[float, float]:

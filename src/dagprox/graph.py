@@ -203,6 +203,11 @@ class GroupSet:
         return np.array([len(g) for g in self.groups], dtype=np.intp)
 
     @cached_property
+    def sqrt_sizes(self) -> np.ndarray:
+        """``sqrt(|g|)`` per group: bounds ``||v_g||_2`` by ``sqrt(|g|) max |v|``."""
+        return np.sqrt(self.sizes)
+
+    @cached_property
     def starts(self) -> np.ndarray:
         """Range starts, suitable for segment reductions over the stacked vector."""
         return np.cumsum(self.sizes) - self.sizes

@@ -125,7 +125,8 @@ def group_soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"threshold must be finite and >= 0, got {t}")
     v = np.asarray(v, dtype=float)
-    nv = np.linalg.norm(v)
+    flat = v.ravel(order="K")  # memory order, as np.linalg.norm sums it
+    nv = math.sqrt(flat @ flat)
     # a finite norm proves finite entries; an infinite one may be overflow
     if not math.isfinite(nv) and not np.all(np.isfinite(v)):
         raise NonFiniteInput("soft-threshold input contains non-finite entries")
@@ -148,12 +149,20 @@ def blockwise_soft_threshold(
     ``thresholds`` is one nonnegative value per group.  This is the exact
     prox of ``sum_g t_g ||x_{j(g)}||_2`` because the ranges are disjoint.
     """
-    norms = _segment_norms(x, group_set)
-    factors = np.zeros(group_set.num_groups)
-    live = norms > thresholds
-    np.divide(thresholds, norms, out=factors, where=live)
-    factors = np.where(live, 1.0 - factors, 0.0)
+    factors, _ = _shrink_factors(_segment_norms(x, group_set), thresholds)
     return x * np.repeat(factors, group_set.sizes)
+
+
+def _shrink_factors(norms: np.ndarray, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(factors, live)`` of the group soft-threshold from the group norms.
+
+    ``live`` marks ``norms > thresholds``; there the factor is
+    ``1 - t / ||v||``, and 0 elsewhere.
+    """
+    live = norms > thresholds
+    factors = np.zeros(norms.shape)
+    np.divide(thresholds, norms, out=factors, where=live)
+    return np.where(live, 1.0 - factors, 0.0), live
 
 
 def _nested_blocks(v, t_sq, group_set, cap):

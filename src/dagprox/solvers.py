@@ -21,7 +21,10 @@ the latent minimizer is not.
   multiplier lives in ``R^d`` (``y = rho M^T w``) and both residuals are
   read off d-length sums: ``||x1 - x2||^2 = sum_j c_j g_j^2`` and the dual
   residual by expanding ``||x2_k - x2_(k-1)||^2`` around the ``M x1`` the
-  step computes anyway.
+  step computes anyway.  A step touches only the groups that can be
+  nonzero: every zero group carries an upper bound on the norm of its prox
+  input, and a group whose bound stays below its threshold is certified to
+  stay zero without being gathered, so the iterates are the dense step's.
 * ``prox_log_pgm`` is ISTA (optionally FISTA) with the exact separable
   group prox and step ``1 / ||M||_2^2``.  ISTA's next gradient
   point is its current iterate, so each step reuses the gradient that the
@@ -58,6 +61,8 @@ from .diagnostics import (
 from .errors import InvalidStep, NonFiniteIterate
 from .kernels import (
     ProxInstance,
+    _segment_norms,
+    _shrink_factors,
     blockwise_soft_threshold,
     group_soft_threshold,
     objective_f,
@@ -75,6 +80,20 @@ __all__ = [
     "solve_prox",
     "SOLVER_NAMES",
 ]
+
+#: Relative slack of the sharing loop's zero-group certificate.  A bound
+#: ``B_j`` proves ``||t_j|| <= lam w_j / rho`` for the float norm the dense
+#: step would compute once ``B_j <= (1 - margin) lam w_j / rho``, whatever
+#: the rounding: each ``bound +=`` loses at most one ulp (2^-53 relative),
+#: so the DEAD_BOUND_MAX_AGE additions between two reseeds lose at most
+#: 2^20 * 2^-53 = 2^-33; the group norm, the ``dt`` norms and the products
+#: add at most (|g| + d + 8) * 2^-53, under 2^-22 for any d and |g| below
+#: 2^30.  Together that stays below 2^-21, half the margin.
+DEAD_BOUND_MARGIN = 2.0**-20
+
+#: The sharing loop refreshes every group at each multiple of this many
+#: iterations, which bounds the additions a certificate accumulates.
+DEAD_BOUND_MAX_AGE = 2**20
 
 
 @dataclass
@@ -313,15 +332,28 @@ def prox_log_admm_sharing(
 
     clamped at 0, where ``M x1`` is the one the step computes anyway.  The
     dual residual is computed only when tracing or once the primal test
-    passes, the only places it is read.  An iteration then makes seven
-    passes over the stacked vector (a gather, an add, four in
-    :func:`blockwise_soft_threshold` and a ``bincount``), nine when it
-    adds ``dx1`` and its dot.
+    passes, the only places it is read.
+
+    Most latent groups stay zero, and a zero group ``j`` stays zero while
+    ``||t_j|| <= lam w_j / rho`` for the d-vector ``t = g - w`` the prox
+    step adds to ``x1``.  The loop keeps an upper bound on ``||t_j||`` for
+    every zero group and advances it each step by
+    ``min(||dt||_2, sqrt(|g|) ||dt||_inf) (1 + DEAD_BOUND_MARGIN)``.  A
+    step refreshes only the nonzero groups and the zero groups whose bound
+    reaches ``(1 - DEAD_BOUND_MARGIN) lam w_j / rho``: it gathers their
+    entries, norms them segment by segment, shrinks them in place and sums
+    them into ``M x1`` with one ``bincount``.  Every other group is
+    certified to stay zero, so each norm, shrink factor, ``M x1``, ``g``,
+    ``w``, residual and stop decision has the value the dense step computes
+    (a certified group keeps ``+0.0`` where the dense step writes ``-0.0``).
+    A step that must refresh every group (always the first) is that dense
+    step, through :func:`blockwise_soft_threshold` and the operator; the
+    next step reseeds the bounds from its group norms.
 
     ``state`` warm-starts ``x2`` and ``y``; ``w`` starts at the mean of each
     coordinate's copies of ``y / rho``.  ``callback(k, x1, x2, y)`` fires
-    after every dual update with ``x2`` and the unscaled ``y = rho M^T w``
-    built for it.
+    after every dual update with copies of the iterates: ``x2`` and the
+    unscaled ``y = rho M^T w`` are built for it.
     """
     opts = opts or SolveOptions()
     alpha = opts.require_admm_steps()
@@ -343,12 +375,58 @@ def prox_log_admm_sharing(
         w = op.apply(state.y) / (rho * c_safe)
     dual_step = alpha / rho
     consensus_scale = rho + c_safe
+    # live: the groups whose latent is nonzero; bound: >= ||t_j|| on the
+    # others.  seed: the prox input of the last dense step, whose group norms
+    # set both on the next step; dead_before: the groups zero going into it.
+    live = bound = seed = t = layout = None
     status = "max_iter"
     k = 0
     for k in range(1, opts.max_iter + 1):
         x1_prev, mx1_prev, g_prev = x1, mx1, g
-        x1 = blockwise_soft_threshold(x1 + op.adjoint_apply(g - w), thresholds, gs)
-        mx1 = op.apply(x1)
+        t_prev, t = t, g - w
+        if seed is not None:
+            certified = thresholds * (1.0 - DEAD_BOUND_MARGIN)
+            norms = _segment_norms(seed, gs)
+            live = norms > thresholds
+            bound = np.where(dead_before & ~live, norms, np.inf)
+            seed = None
+        refresh = None
+        if k > 1 and k % DEAD_BOUND_MAX_AGE:
+            dt = t - t_prev
+            bound += np.minimum(
+                math.sqrt(dt @ dt), gs.sqrt_sizes * float(np.abs(dt).max())
+            ) * (1.0 + DEAD_BOUND_MARGIN)
+            # nonzero groups have an inf bound; a NaN or inf bound fails the
+            # test, so its group is refreshed
+            refresh = (~(bound <= certified)).nonzero()[0]
+        if refresh is None or refresh.size == gs.num_groups:
+            dead_before = ~live if k > 1 else state is None
+            seed = x1 + op.adjoint_apply(t)
+            x1 = blockwise_soft_threshold(seed, thresholds, gs)
+            mx1 = op.apply(x1)
+            old = None
+        else:
+            if layout is None or refresh.tobytes() != layout[0]:
+                # the refreshed groups' stacked entries, packed group after
+                # group; kept while later steps refresh the same groups
+                seg_sizes = gs.sizes[refresh]
+                local = np.cumsum(seg_sizes) - seg_sizes
+                idx = np.repeat(gs.starts[refresh] - local, seg_sizes)
+                idx += np.arange(idx.size)
+                packed = gs.stacked_coords[idx]
+                layout = refresh.tobytes(), seg_sizes, local, idx, packed, thresholds[refresh]
+            _, seg_sizes, local, idx, packed, seg_thresholds = layout
+            old = x1[idx]
+            v = old + t[packed]
+            norms = np.sqrt(np.add.reduceat(v * v, local))
+            factors, now_live = _shrink_factors(norms, seg_thresholds)
+            v *= np.repeat(factors, seg_sizes)
+            x1[idx] = v  # x1 is the loop's own array after the first step
+            # bincount of nothing would be an integer array
+            mx1 = np.bincount(packed, weights=v, minlength=inst.d) if v.size else np.zeros(inst.d)
+            # a group zero before and after has v = t, so its norm is ||t_j||
+            bound[refresh] = np.where(now_live | live[refresh], np.inf, norms)
+            live[refresh] = now_live
         g = (b - mx1 + rho * w) / consensus_scale
         w = w - dual_step * g
         primal = math.sqrt(cover @ (g * g))
@@ -356,6 +434,9 @@ def prox_log_admm_sharing(
         # dual residual; the 0.0 placeholder reaches neither
         dual_res = 0.0
         if opts.trace_every or primal <= opts.tol_primal:
+            if old is not None:  # x1 was updated in place
+                x1_prev = x1.copy()
+                x1_prev[idx] = old
             dg = g - g_prev
             dx1 = x1 - x1_prev
             dual_sq = dx1 @ dx1 + 2.0 * ((mx1 - mx1_prev) @ dg) + cover @ (dg * dg)
@@ -363,7 +444,7 @@ def prox_log_admm_sharing(
         if not math.isfinite(primal + dual_res):
             _check_finite(primal + dual_res, k, "ADMM iterate")
         if callback is not None:
-            callback(k, x1, x1 + op.adjoint_apply(g), op.adjoint_apply(rho * w))
+            callback(k, x1.copy(), x1 + op.adjoint_apply(g), op.adjoint_apply(rho * w))
         tracer.record(k, x1, primal, dual_res)
         if primal <= opts.tol_primal and dual_res <= opts.tol_dual:
             status = "converged"

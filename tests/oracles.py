@@ -5,13 +5,14 @@ matrices are built directly from the group lists, reachability comes from
 boolean matrix squaring, and penalties are evaluated by direct summation
 or brute-force search.
 
-The textbook BCD and PGM loops and the warm-started fit are the
-exception: they call the library's operator, block soft-threshold and
-sharing solver, because they pin the solver and learner loops bit for bit.
-They keep each loop in its plainest form, so that a loop that skips
-repeated work must still reproduce every bit of it.
+The textbook BCD, PGM and sharing loops and the warm-started fit are the
+exception: they call the library's operator, block soft-threshold, tracer
+and sharing solver, because they pin the solver and learner loops bit for
+bit.  They keep each loop in its plainest form, so that a loop that skips
+repeated work must still reproduce every value of it.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,14 @@ from dagprox.kernels import (
     operator_norm_sq,
     penalty_value,
 )
-from dagprox.solvers import SolveOptions, prox_log_admm_sharing
+from dagprox.solvers import (
+    SolveOptions,
+    SolverState,
+    _check_finite,
+    _result,
+    _Tracer,
+    prox_log_admm_sharing,
+)
 
 
 def dense_m(group_set) -> np.ndarray:
@@ -153,6 +161,59 @@ def textbook_pgm(inst, max_iter, tol, accelerated=False):
         if records[-1][1] <= tol:
             break
     return k, x, records
+
+
+def textbook_sharing(inst, opts=None, state=None):
+    """The sharing ADMM with a dense step on every iteration.
+
+    Each step soft-thresholds every group of ``x1 + M^T (g - w)`` and
+    forms ``M x1`` from the whole stacked vector; the loop is otherwise
+    the solver's (same stopping rule, trace and warm start), so the two
+    must agree value for value.
+    """
+    opts = opts or SolveOptions()
+    alpha = opts.require_admm_steps()
+    rho = opts.rho
+    gs = inst.group_set
+    op = inst.operator
+    cover = op.cover_counts.astype(float)
+    c_safe = np.maximum(cover, 1.0)
+    thresholds = inst.lam * gs.weights / rho
+    b = inst.b
+    tracer = _Tracer(inst, opts.trace_every)
+
+    g = np.zeros(inst.d)
+    if state is None:
+        x1, mx1, w = np.zeros(inst.n), np.zeros(inst.d), np.zeros(inst.d)
+    else:
+        x1, mx1 = state.x2, op.apply(state.x2)
+        w = op.apply(state.y) / (rho * c_safe)
+    dual_step = alpha / rho
+    consensus_scale = rho + c_safe
+    status = "max_iter"
+    k = 0
+    for k in range(1, opts.max_iter + 1):
+        x1_prev, mx1_prev, g_prev = x1, mx1, g
+        x1 = blockwise_soft_threshold(x1 + op.adjoint_apply(g - w), thresholds, gs)
+        mx1 = op.apply(x1)
+        g = (b - mx1 + rho * w) / consensus_scale
+        w = w - dual_step * g
+        primal = math.sqrt(cover @ (g * g))
+        dual_res = 0.0
+        if opts.trace_every or primal <= opts.tol_primal:
+            dg = g - g_prev
+            dx1 = x1 - x1_prev
+            dual_sq = dx1 @ dx1 + 2.0 * ((mx1 - mx1_prev) @ dg) + cover @ (dg * dg)
+            dual_res = rho * math.sqrt(max(dual_sq, 0.0))
+        if not math.isfinite(primal + dual_res):
+            _check_finite(primal + dual_res, k, "ADMM iterate")
+        tracer.record(k, x1, primal, dual_res)
+        if primal <= opts.tol_primal and dual_res <= opts.tol_dual:
+            status = "converged"
+            break
+    tracer.record(k, x1, primal, dual_res, final=True)
+    final = SolverState(x1=x1, x2=x1 + op.adjoint_apply(g), y=op.adjoint_apply(rho * w))
+    return _result(inst, x1, status, k, tracer, state=final, beta=mx1)
 
 
 def prox_kkt_residuals(b, lam, group_set, theta, x) -> dict:

@@ -103,6 +103,23 @@ def test_tree_fit_evaluator_iterates_through_the_traced_kernel(spans):
         assert node.children["kernels.blockwise_soft_threshold"].count >= 10
 
 
+def test_sharing_refreshes_few_groups_under_the_wrappers(spans):
+    # perfbench counts kernels.blockwise_soft_threshold under solvers.sharing;
+    # it runs only on the steps that refresh every group, so on a tree whose
+    # groups stay mostly zero it runs on fewer steps than the solve takes
+    solved = []
+
+    def run(dag):
+        gs = dp.ancestor_groups(dag)
+        inst = dp.ProxInstance(b=dp.bench.sample_input(gs.d, 0, 0), lam=0.5, group_set=gs)
+        solved.append(dp.prox_log_admm_sharing(inst))
+
+    root = _span_tree(spans, run, dp.bench.binary_tree(9)).root
+    sharing = root.children["solvers.sharing"]
+    assert sharing.count == 1 and sharing.work == solved[0].iterations
+    assert 0 < sharing.children["kernels.blockwise_soft_threshold"].count < sharing.work
+
+
 def _shrunk_workloads(workloads) -> dict:
     """Fresh instances of the benchmark's workloads, each a pass of well under a second."""
     prox_tree = workloads.ProxTree()

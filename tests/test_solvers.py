@@ -3,7 +3,7 @@ import pytest
 
 import dagprox as dp
 from dagprox.solvers import SOLVER_NAMES
-from oracles import textbook_bcd, textbook_pgm
+from oracles import textbook_bcd, textbook_pgm, textbook_sharing
 
 # the dense reference is reached directly: it is not a dispatchable solver
 ADMM_SOLVERS = {"admm": dp.prox_log_admm_unscaled, "sharing": dp.prox_log_admm_sharing}
@@ -64,23 +64,13 @@ class TestClosedFormCases:
 
     @pytest.mark.parametrize("method", ("bcd", "pgm"))
     def test_large_lambda_zeroes_in_two_iterations(self, method, small_instance):
-        gs = small_instance.group_set
-        lam_zero = max(
-            np.linalg.norm(small_instance.b[g]) / w
-            for g, w in zip(gs.groups, gs.weights)
-        )
-        inst = dp.ProxInstance(b=small_instance.b, lam=1.01 * lam_zero, group_set=gs)
+        inst = with_lambda(small_instance, 1.01 * lambda_max(small_instance))
         res = dp.solve_prox(inst, method)
         assert res.converged and res.iterations <= 2
         assert np.array_equal(res.beta, np.zeros(inst.d))
 
     def test_sharing_zeroes_at_large_lambda(self, small_instance):
-        gs = small_instance.group_set
-        lam_zero = max(
-            np.linalg.norm(small_instance.b[g]) / w
-            for g, w in zip(gs.groups, gs.weights)
-        )
-        inst = dp.ProxInstance(b=small_instance.b, lam=1.01 * lam_zero, group_set=gs)
+        inst = with_lambda(small_instance, 1.01 * lambda_max(small_instance))
         res = dp.prox_log_admm_sharing(inst)
         assert res.converged
         assert np.max(np.abs(res.beta)) <= 1e-8
@@ -410,3 +400,177 @@ class TestTextbookLoops:
         assert res.iterations == iters
         assert res.x.tobytes() == x.tobytes()
         assert [(r.objective, r.proxgrad_norm) for r in res.trace] == records
+
+
+@pytest.fixture(scope="module")
+def repeated_instance():
+    # the same group twice: its coordinates have two copies in each
+    gs = dp.build_index_map([[0, 1], [1, 2], [0, 1], [2]], d=3)
+    return dp.ProxInstance(b=np.array([1.5, -2.0, 0.7]), lam=0.5, group_set=gs)
+
+
+@pytest.fixture(scope="module")
+def single_node_instance():
+    gs = dp.ancestor_groups(dp.validate_dag(1, []))
+    return dp.ProxInstance(b=np.array([-1.3]), lam=0.5, group_set=gs)
+
+
+@pytest.fixture(scope="module")
+def tree9_instance():
+    # 511 groups, most of them zero throughout: most steps refresh few groups
+    gs = dp.ancestor_groups(dp.bench.binary_tree(9))
+    return dp.ProxInstance(b=dp.bench.sample_input(gs.d, 0, 0), lam=0.5, group_set=gs)
+
+
+def lambda_max(inst) -> float:
+    """The least penalty at which the prox of ``inst.b`` is zero."""
+    gs = inst.group_set
+    return max(np.linalg.norm(inst.b[g]) / w for g, w in zip(gs.groups, gs.weights))
+
+
+def with_lambda(inst, lam) -> dp.ProxInstance:
+    return dp.ProxInstance(b=inst.b, lam=lam, group_set=inst.group_set, operator=inst.operator)
+
+
+def count_dense_steps(monkeypatch) -> list:
+    """Record every dense soft-threshold step the sharing solver takes."""
+    calls = []
+    dense = dp.solvers.blockwise_soft_threshold
+
+    def counted(*args):
+        calls.append(1)
+        return dense(*args)
+
+    monkeypatch.setattr(dp.solvers, "blockwise_soft_threshold", counted)
+    return calls
+
+
+class TestTextbookSharing:
+    """The sharing loop reproduces its dense textbook loop value for value.
+
+    The solver soft-thresholds only the groups that can be nonzero and
+    certifies that the others stay zero.  Iteration counts, iterates, the
+    returned state and the trace must not notice.  Values are compared, not
+    bytes: a certified group keeps +0.0 where the dense step writes -0.0.
+    """
+
+    MAX_ITER = 3000
+
+    @staticmethod
+    def assert_same(res, ref):
+        assert (res.status, res.iterations) == (ref.status, ref.iterations)
+        assert np.array_equal(res.x, ref.x)
+        assert np.array_equal(res.beta, ref.beta)
+        assert np.array_equal(res.state.x2, ref.state.x2)
+        assert np.array_equal(res.state.y, ref.state.y)
+
+        def records(trace):
+            return [(r.primal_res, r.dual_res, r.objective, r.proxgrad_norm) for r in trace]
+
+        assert records(res.trace) == records(ref.trace)
+
+    @pytest.mark.parametrize(
+        "start, trace_every", [("cold", 1), ("cold", 0), ("warm", 1)], ids=["cold", "untraced", "warm"]
+    )
+    @pytest.mark.parametrize("lam", ["0", "0.5", "lam_max", "2*lam_max"])
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            "small_instance", "chain_instance", "tree_instance", "uncovered_instance",
+            "repeated_instance", "single_node_instance", "tree9_instance",
+        ],
+    )
+    def test_matches_textbook(self, instance, lam, start, trace_every, request):
+        inst = request.getfixturevalue(instance)
+        top = lambda_max(inst)
+        inst = with_lambda(inst, {"0": 0.0, "0.5": 0.5, "lam_max": top, "2*lam_max": 2 * top}[lam])
+        opts = dp.SolveOptions(max_iter=self.MAX_ITER, trace_every=trace_every)
+        state = None
+        if start == "warm":
+            state = dp.prox_log_admm_sharing(inst, dp.SolveOptions(max_iter=40)).state
+        self.assert_same(
+            dp.prox_log_admm_sharing(inst, opts, state=state),
+            textbook_sharing(inst, opts, state=state),
+        )
+
+    def test_most_steps_refresh_few_groups(self, tree9_instance, monkeypatch):
+        dense = count_dense_steps(monkeypatch)
+        res = dp.prox_log_admm_sharing(tree9_instance)
+        assert res.converged
+        assert len(dense) < res.iterations / 10
+
+    def test_norm_settling_at_the_threshold(self, chain_instance):
+        # at lam_max every latent is zero and the largest group's ||t_g||
+        # converges to lam w_g: each step must refresh it and agree
+        inst = with_lambda(chain_instance, lambda_max(chain_instance))
+        opts = dp.SolveOptions(max_iter=600, tol_primal=0.0, tol_dual=0.0, trace_every=1)
+        res = dp.prox_log_admm_sharing(inst, opts)
+        self.assert_same(res, textbook_sharing(inst, opts))
+        assert not np.any(res.x)
+        t = res.state.x2 - res.state.y  # M^T (g - w): x1 = 0 and rho = 1
+        gs = inst.group_set
+        norms = np.sqrt(np.add.reduceat(t * t, gs.starts))
+        thresholds = inst.lam * gs.weights
+        assert np.all(norms <= thresholds)
+        assert np.min((thresholds - norms) / np.spacing(thresholds)) <= 8
+
+    @pytest.mark.parametrize(
+        "attr, value", [("DEAD_BOUND_MARGIN", float("nan")), ("DEAD_BOUND_MAX_AGE", 1)]
+    )
+    def test_failed_certificates_take_the_dense_step(self, attr, value, tree9_instance, monkeypatch):
+        # a NaN bound or threshold fails ~(bound <= threshold); an age of 1
+        # refreshes every group on every step
+        monkeypatch.setattr(dp.solvers, attr, value)
+        dense = count_dense_steps(monkeypatch)
+        opts = dp.SolveOptions(trace_every=1)
+        res = dp.prox_log_admm_sharing(tree9_instance, opts)
+        assert len(dense) == res.iterations
+        self.assert_same(res, textbook_sharing(tree9_instance, opts))
+
+    def test_forced_refresh_keeps_the_iterates(self, tree9_instance, monkeypatch):
+        monkeypatch.setattr(dp.solvers, "DEAD_BOUND_MAX_AGE", 7)
+        dense = count_dense_steps(monkeypatch)
+        opts = dp.SolveOptions(trace_every=1)
+        res = dp.prox_log_admm_sharing(tree9_instance, opts)
+        assert res.iterations // 7 < len(dense) < res.iterations
+        self.assert_same(res, textbook_sharing(tree9_instance, opts))
+
+    def test_warm_start_that_cancels_the_first_prox_input(self, chain_instance):
+        # x2 = -M^T t_1 zeroes every group's first prox input, yet ||t_g|| is
+        # above the threshold: the zero norms of step 1 certify nothing, and
+        # with g_1 = 0 every group turns nonzero on step 2
+        op = chain_instance.operator
+        inst = dp.ProxInstance(b=np.ones(op.d), lam=0.5, group_set=chain_instance.group_set)
+        ones = op.adjoint_apply(np.ones(op.d))
+        state = dp.SolverState(x1=None, x2=-ones, y=-ones)  # w_0 = -1, t_1 = 1
+        opts = dp.SolveOptions(trace_every=1)
+        self.assert_same(
+            dp.prox_log_admm_sharing(inst, opts, state=state),
+            textbook_sharing(inst, opts, state=state),
+        )
+
+    def test_group_dying_next_to_its_own_latent(self):
+        # group {0}, threshold 1: t = 21, 1.5, -0.5, -1.375 on steps 1-4 and
+        # x1 = 0, 0.5, 0, nonzero.  Step 3 zeroes it with ||x1 + t|| = 0 while
+        # ||t|| = 0.5, and |t_4 - t_3| = 0.875: only the norm of t itself may
+        # seed a certificate.  Group {1} stays far below its threshold of
+        # 100, so steps 3 and 4 refresh group {0} alone.
+        gs = dp.build_index_map([[0], [1]], weights=[1.0, 100.0], d=2)
+        inst = dp.ProxInstance(b=np.array([-5.0, 0.0]), lam=1.0, group_set=gs)
+        state = dp.SolverState(x1=None, x2=np.array([-21.0, 0.0]), y=np.array([-21.0, 0.0]))
+        opts = dp.SolveOptions(trace_every=1)
+        self.assert_same(
+            dp.prox_log_admm_sharing(inst, opts, state=state),
+            textbook_sharing(inst, opts, state=state),
+        )
+
+    def test_non_finite_iterate_at_the_textbook_iteration(self):
+        gs = dp.ancestor_groups(dp.validate_dag(3, [(0, 1), (1, 2)]))
+        inst = dp.ProxInstance(b=np.full(3, 1e200), lam=0.5, group_set=gs)
+        messages = []
+        for solve in (dp.prox_log_admm_sharing, textbook_sharing):
+            with np.errstate(over="ignore"), pytest.raises(dp.NonFiniteIterate) as info:
+                solve(inst)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "iteration 1" in messages[0]
