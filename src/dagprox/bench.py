@@ -11,7 +11,6 @@ requested solver so runs are exactly comparable and reproducible.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -21,7 +20,7 @@ import numpy as np
 from .diagnostics import fit_linear_rate
 from .errors import InsufficientData
 from .graph import Dag, GroupSet, ancestor_groups, validate_dag
-from .kernels import ProxInstance, SumOperator
+from .kernels import ProxInstance, SumOperator, _check_lam
 from .solvers import SOLVER_NAMES, ProxResult, SolveOptions, solve_prox
 
 __all__ = [
@@ -136,8 +135,7 @@ class BenchmarkSpec:
             )
         if self.reps < 1:
             raise ValueError(f"reps must be at least 1, got {self.reps}")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        _check_lam(self.lam)
         if "sharing" in self.solvers:
             self.options.require_admm_steps()
 

@@ -405,11 +405,9 @@ def check_hierarchy_conformance(
     if mode not in ("strong", "weak"):
         raise ValueError(f"mode must be 'strong' or 'weak', got {mode!r}")
 
-    nz = [
-        i
-        for i in range(dag.num_nodes)
-        if np.max(np.abs(beta[list(dag.node_coords(i))])) > threshold
-    ]
+    # every node has at least one coordinate, so no segment is empty
+    peaks = np.maximum.reduceat(np.abs(beta), np.array(dag.node_offsets, dtype=np.intp))
+    nz = np.flatnonzero(peaks > threshold).tolist()
     nz_set = set(nz)
     violations: list[HierarchyViolation] = []
     for i in nz:

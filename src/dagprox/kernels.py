@@ -82,6 +82,25 @@ class SumOperator:
         return m
 
 
+def _check_lam(lam: float, name: str = "lam") -> None:
+    """Raise ``ValueError("lam must be finite and >= 0, got …")`` unless it is;
+    ``name`` replaces ``lam`` for another scalar under the same rule."""
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {lam}")
+
+
+def _check_vector(v, length: int, name: str) -> np.ndarray:
+    """``v`` as a float array of shape ``(length,)`` with finite entries."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (length,):
+        raise DimensionMismatch(
+            f"{name} has shape {v.shape} (length {v.size}), expected ({length},)"
+        )
+    if not np.all(np.isfinite(v)):
+        raise NonFiniteInput(f"{name} contains non-finite entries")
+    return v
+
+
 @dataclass
 class ProxInstance:
     """A prox evaluation problem: input point, penalty level, and groups."""
@@ -92,20 +111,12 @@ class ProxInstance:
     operator: SumOperator = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.b = np.asarray(self.b, dtype=float)
         if self.operator is None:
             self.operator = SumOperator(self.group_set)
         if self.operator.group_set is not self.group_set:
             raise DimensionMismatch("operator built from a different group set")
-        if self.b.shape != (self.group_set.d,):
-            raise DimensionMismatch(
-                f"b has shape {self.b.shape} (length {self.b.size}), "
-                f"expected ({self.group_set.d},)"
-            )
-        if not np.all(np.isfinite(self.b)):
-            raise NonFiniteInput("b contains non-finite entries")
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        self.b = _check_vector(self.b, self.group_set.d, "b")
+        _check_lam(self.lam)
 
     @property
     def n(self) -> int:
@@ -122,8 +133,7 @@ def group_soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     Returns ``0`` when ``||v|| <= t`` (single-valued at the boundary) and
     ``(1 - t/||v||) v`` otherwise.
     """
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"threshold must be finite and >= 0, got {t}")
+    _check_lam(t, "threshold")
     v = np.asarray(v, dtype=float)
     flat = v.ravel(order="K")  # memory order, as np.linalg.norm sums it
     nv = math.sqrt(flat @ flat)
@@ -200,12 +210,10 @@ def _nested_blocks(v, t_sq, group_set, cap):
     return shell, energy, c, np.array(ends, dtype=np.intp)
 
 
-def nested_prox(
-    b: np.ndarray, lam: float, group_set: GroupSet
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def nested_prox(inst: ProxInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact LOG prox for nested groups ``G_1 ⊆ … ⊆ G_m``: ``(theta, beta, x)``.
 
-    ``theta`` is the projection of ``b`` onto ``{||theta_g|| <= lam w_g}``,
+    ``theta`` is the projection of ``inst.b`` onto ``{||theta_g|| <= lam w_g}``,
     ``beta = b - theta`` the prox and ``x`` an optimal stacked latent
     (``M x = beta``).  With ``S_k`` the shells ``G_k \\ G_(k-1)``, the KKT
     conditions give ``theta_(S_k) = c_k b_(S_k)`` with ``c`` nondecreasing
@@ -219,8 +227,9 @@ def nested_prox(
     carries all of ``beta`` there.  This is the exact path step of Yan & Bien
     (2017); Jenatton et al. (2011) give the tree analogue.
 
-    Raises ``ValueError`` when ``group_set.nested_order`` is ``None``.
+    Raises ``ValueError`` when ``inst.group_set.nested_order`` is ``None``.
     """
+    b, lam, group_set = inst.b, inst.lam, inst.group_set
     order = group_set.nested_order
     if order is None:
         raise ValueError("nested_prox needs groups ordered by inclusion")
@@ -310,15 +319,13 @@ class LatentPenaltyEvaluator:
         ``latent_hint`` is an optional stacked vector whose copy-sums equal
         (or approximate) ``beta``; its projection onto ``{M x = beta}``
         replaces the equal split as the first iterate.  Nested groups
-        ignore it.
+        check it but do not use it.
         """
         gs = self.group_set
         op = self.op
-        beta = np.asarray(beta, dtype=float)
-        if beta.shape != (gs.d,):
-            raise DimensionMismatch(f"beta has shape {beta.shape}, expected ({gs.d},)")
-        if not np.all(np.isfinite(beta)):
-            raise NonFiniteInput("beta contains non-finite entries")
+        _check_lam(lam)
+        beta = _check_vector(beta, gs.d, "beta")
+        hint = None if latent_hint is None else _check_vector(latent_hint, gs.n, "latent_hint")
         cover = op.cover_counts
         if np.any((cover == 0) & (beta != 0.0)):
             return float("inf")
@@ -337,10 +344,7 @@ class LatentPenaltyEvaluator:
         c_safe = np.maximum(cover, 1.0)  # unit and M x1 are 0 where uncovered
         rho = float(weights.mean()) * math.sqrt(gs.num_groups) / float(np.linalg.norm(unit))
         thresholds = weights / rho
-        hint = np.zeros(gs.n) if latent_hint is None else np.asarray(latent_hint, dtype=float)
-        if not np.all(np.isfinite(hint)):
-            raise NonFiniteInput("latent_hint contains non-finite entries")
-        x1 = np.ldexp(hint, -e)
+        x1 = np.zeros(gs.n) if hint is None else np.ldexp(hint, -e)
         g = (unit - op.apply(x1)) / c_safe
         w = np.zeros(gs.d)
         gap = math.inf

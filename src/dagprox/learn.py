@@ -31,10 +31,11 @@ from .kernels import (
     LatentPenaltyEvaluator,
     ProxInstance,
     SumOperator,
+    _check_lam,
     nested_prox,
     penalty_value,
 )
-from .solvers import SolveOptions, SolverState, prox_log_admm_sharing
+from .solvers import SolveOptions, SolverState, _check_loop_options, prox_log_admm_sharing
 
 __all__ = [
     "SmoothLoss",
@@ -69,30 +70,43 @@ class SmoothLoss(Protocol):
     def lipschitz_hint(self) -> Optional[float]: ...
 
 
-def _spectral_norm_sq(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a, 2) ** 2)
+class _DesignLoss:
+    """A loss on a finite 2-d design and a finite target, one entry per row;
+    ``lipschitz_hint`` is ``_curvature * ||design||_2^2``, computed once."""
 
+    _curvature = 1.0
 
-class LeastSquaresLoss:
-    """``0.5 ||A beta - y||_2^2``."""
-
-    def __init__(self, design, response):
+    def _set_data(self, design, target, name: str) -> np.ndarray:
+        """Check and keep the design; return the target as a float array."""
         self.design = np.asarray(design, dtype=float)
-        self.response = np.asarray(response, dtype=float)
+        target = np.asarray(target, dtype=float)
         if self.design.ndim != 2:
             raise DimensionMismatch("design must be a 2-d matrix")
-        if self.response.shape != (self.design.shape[0],):
+        if target.shape != (self.design.shape[0],):
             raise DimensionMismatch(
-                f"response length {self.response.shape} does not match "
+                f"{name} length {target.shape} does not match "
                 f"{self.design.shape[0]} design rows"
             )
-        if not (np.all(np.isfinite(self.design)) and np.all(np.isfinite(self.response))):
-            raise NonFiniteInput("design/response contain non-finite entries")
+        if not (np.all(np.isfinite(self.design)) and np.all(np.isfinite(target))):
+            raise NonFiniteInput(f"design/{name} contain non-finite entries")
         self._lipschitz: Optional[float] = None
+        return target
 
     @property
     def dim(self) -> int:
         return self.design.shape[1]
+
+    def lipschitz_hint(self) -> float:
+        if self._lipschitz is None:
+            self._lipschitz = self._curvature * float(np.linalg.norm(self.design, 2) ** 2)
+        return self._lipschitz
+
+
+class LeastSquaresLoss(_DesignLoss):
+    """``0.5 ||A beta - y||_2^2``."""
+
+    def __init__(self, design, response):
+        self.response = self._set_data(design, response, "response")
 
     def value(self, beta) -> float:
         r = self.design @ beta - self.response
@@ -101,38 +115,20 @@ class LeastSquaresLoss:
     def gradient(self, beta) -> np.ndarray:
         return self.design.T @ (self.design @ beta - self.response)
 
-    def lipschitz_hint(self) -> float:
-        if self._lipschitz is None:
-            self._lipschitz = _spectral_norm_sq(self.design)
-        return self._lipschitz
 
-
-class LogisticLoss:
+class LogisticLoss(_DesignLoss):
     """``sum_i log(1 + exp(-y_i a_i^T beta))`` with labels in {-1, +1}.
 
     Uses ``logaddexp`` so large margins neither overflow nor lose the
     ``log1p`` tail.
     """
 
+    _curvature = 0.25
+
     def __init__(self, design, labels):
-        self.design = np.asarray(design, dtype=float)
-        self.labels = np.asarray(labels, dtype=float)
-        if self.design.ndim != 2:
-            raise DimensionMismatch("design must be a 2-d matrix")
-        if self.labels.shape != (self.design.shape[0],):
-            raise DimensionMismatch(
-                f"labels length {self.labels.shape} does not match "
-                f"{self.design.shape[0]} design rows"
-            )
+        self.labels = self._set_data(design, labels, "labels")
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise ValueError("logistic labels must be -1 or +1")
-        if not np.all(np.isfinite(self.design)):
-            raise NonFiniteInput("design contains non-finite entries")
-        self._lipschitz: Optional[float] = None
-
-    @property
-    def dim(self) -> int:
-        return self.design.shape[1]
 
     def _margins(self, beta) -> np.ndarray:
         return self.labels * (self.design @ beta)
@@ -143,11 +139,6 @@ class LogisticLoss:
     def gradient(self, beta) -> np.ndarray:
         sig = expit(-self._margins(beta))
         return -self.design.T @ (self.labels * sig)
-
-    def lipschitz_hint(self) -> float:
-        if self._lipschitz is None:
-            self._lipschitz = 0.25 * _spectral_norm_sq(self.design)
-        return self._lipschitz
 
 
 @dataclass
@@ -166,13 +157,7 @@ class OuterOptions:
     inner_tol_floor: float = 1e-10
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
-        for name in ("tol", "inner_tol_coeff", "inner_tol_floor"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        if self.trace_every < 0:
-            raise ValueError("trace_every must be nonnegative")
+        _check_loop_options(self, ("tol", "inner_tol_coeff", "inner_tol_floor"))
 
 
 @dataclass
@@ -268,8 +253,7 @@ def fit(
     ``FitResult.hierarchy`` count a coefficient as nonzero when its
     magnitude exceeds :data:`SUPPORT_THRESHOLD` (1e-8).
     """
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    _check_lam(lam)
     outer = outer or OuterOptions()
     group_set, dag = _resolve_groups(dag_or_groups)
     op = SumOperator(group_set)
@@ -319,16 +303,15 @@ def fit(
         )
 
     for k in range(1, outer.max_iter + 1):
-        grad = np.asarray(loss.gradient(point), dtype=float)
+        # the first point is 0, where the probe took the gradient
+        grad = probe if k == 1 else np.asarray(loss.gradient(point), dtype=float)
         target = point - step * grad
 
         tol_k = max(outer.inner_tol_floor, outer.inner_tol_coeff / k**2)
         inner_opts = SolveOptions(max_iter=INNER_MAX_ITER, tol_primal=tol_k, tol_dual=tol_k)
-        prox_inst = ProxInstance(
-            b=target, lam=step * lam, group_set=group_set, operator=op
-        )
+        prox_inst = ProxInstance(b=target, lam=step * lam, group_set=group_set, operator=op)
         if nested:
-            theta, _, x = nested_prox(target, step * lam, group_set)
+            theta, _, x = nested_prox(prox_inst)
             inner_state = SolverState(x1=x, x2=x, y=-op.adjoint_apply(theta))
         res = prox_log_admm_sharing(prox_inst, inner_opts, state=inner_state)
         inner_total += res.iterations
@@ -404,6 +387,7 @@ def load_response(path, logistic: bool = False) -> np.ndarray:
 
 def save_model(path, beta, lam, loss_type, group_set: GroupSet) -> None:
     """Plain-text model file: commented header plus beta as a CSV column."""
+    _check_lam(lam)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# d: {len(beta)}\n")
         fh.write(f"# lambda: {lam:.17g}\n")

@@ -96,6 +96,17 @@ DEAD_BOUND_MARGIN = 2.0**-20
 DEAD_BOUND_MAX_AGE = 2**20
 
 
+def _check_loop_options(opts, tolerances: tuple[str, ...]) -> None:
+    """Loop options: ``max_iter >= 1``, ``trace_every >= 0``, each tolerance ``>= 0``, not NaN."""
+    if opts.max_iter < 1:
+        raise ValueError("max_iter must be positive")
+    for name in tolerances:
+        if not getattr(opts, name) >= 0:
+            raise ValueError(f"{name} must be nonnegative, got {getattr(opts, name)}")
+    if opts.trace_every < 0:
+        raise ValueError("trace_every must be nonnegative")
+
+
 @dataclass
 class SolveOptions:
     """Shared solver options.
@@ -119,13 +130,7 @@ class SolveOptions:
     def __post_init__(self):
         if not (math.isfinite(self.rho) and self.rho > 0):
             raise InvalidStep(f"rho must be finite and positive, got {self.rho}")
-        for name in ("tol_opt", "tol_primal", "tol_dual"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
-        if self.trace_every < 0:
-            raise ValueError("trace_every must be nonnegative")
+        _check_loop_options(self, ("tol_opt", "tol_primal", "tol_dual"))
 
     def resolved_alpha(self) -> float:
         return 0.5 * self.rho if self.alpha is None else self.alpha

@@ -55,6 +55,22 @@ def closure_sets(num_nodes, edges) -> list[set[int]]:
     return [set(np.flatnonzero(reach[i]).tolist()) for i in range(num_nodes)]
 
 
+def textbook_hierarchy(dag, beta, threshold, mode):
+    """``(nonzero_nodes, [(child, parents), ...])`` by a scan over each node's coordinates."""
+    nonzero = [
+        i for i in range(dag.num_nodes)
+        if max(abs(float(beta[j])) for j in dag.node_coords(i)) > threshold
+    ]
+    violations = []
+    for i in nonzero:
+        zero = tuple(p for p in dag.parents(i) if p not in nonzero)
+        if mode == "strong":
+            violations += [(i, (p,)) for p in zero]
+        elif zero and len(zero) == len(dag.parents(i)):
+            violations.append((i, zero))
+    return tuple(nonzero), violations
+
+
 def brute_force_two_group_log_penalty(beta, weights, step=1e-5, span=2.0):
     """Grid search over the single free split of groups {0} and {0, 1}.
 

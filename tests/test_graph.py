@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dagprox as dp
-from oracles import closure_sets
+from oracles import closure_sets, textbook_hierarchy
 
 
 @pytest.fixture
@@ -259,6 +259,24 @@ class TestHierarchyConformance:
         beta = np.array([5e-9, 1.0, 1.0, 0.0])
         rep = dp.check_hierarchy_conformance(fig1b, beta, threshold=1e-8)
         assert rep.num_violations == 1  # parent 0 counts as zero
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_dags_match_the_node_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        num_nodes = int(rng.integers(1, 30))
+        edges = [
+            (i, j) for i in range(num_nodes) for j in range(i + 1, num_nodes)
+            if rng.random() < 0.2
+        ]
+        dag = dp.validate_dag(num_nodes, edges, rng.integers(1, 5, num_nodes))
+        beta = rng.standard_normal(dag.d) * (rng.random(dag.d) < 0.2)
+        beta[rng.random(dag.d) < 0.1] = 1e-8  # exactly at the threshold: zero
+        for mode in ("strong", "weak"):
+            rep = dp.check_hierarchy_conformance(dag, beta, 1e-8, mode)
+            nonzero, violations = textbook_hierarchy(dag, beta, 1e-8, mode)
+            assert rep.nonzero_nodes == nonzero
+            assert [(v.child, v.parents) for v in rep.violations] == violations
+            assert all(type(i) is int for i in rep.nonzero_nodes)
 
     def test_dimension_mismatch(self, fig1b):
         with pytest.raises(dp.DimensionMismatch):

@@ -278,6 +278,10 @@ class TestProxInstance:
         gs = dp.build_index_map([[0]], d=1)
         with pytest.raises(dp.DimensionMismatch):
             dp.ProxInstance(b=np.zeros(2), lam=1.0, group_set=gs)
+        with pytest.raises(
+            dp.DimensionMismatch, match=r"^b has shape \(2,\) \(length 2\), expected \(4,\)$"
+        ):
+            dp.ProxInstance(b=np.zeros(2), lam=1.0, group_set=chain_groups(4))
         with pytest.raises(dp.NonFiniteInput):
             dp.ProxInstance(b=np.array([np.inf]), lam=1.0, group_set=gs)
         with pytest.raises(ValueError):
@@ -297,7 +301,7 @@ def chain_groups(num_nodes, dims=None, weights=None):
 
 
 def assert_prox_kkt(b, lam, gs, tol=1e-12):
-    theta, beta, x = nested_prox(b, lam, gs)
+    theta, beta, x = nested_prox(dp.ProxInstance(b=b, lam=lam, group_set=gs))
     assert np.array_equal(beta, b - theta)
     scale = max(1.0, float(np.linalg.norm(b)))
     for name, value in prox_kkt_residuals(b, lam, gs, theta, x).items():
@@ -328,7 +332,8 @@ class TestNestedProx:
         opts = dp.SolveOptions(max_iter=200_000, tol_opt=1e-10, tol_primal=1e-10, tol_dual=1e-10)
         res = dp.solve_prox(dp.ProxInstance(b=b, lam=0.4, group_set=gs), solver, opts)
         assert res.converged
-        assert np.max(np.abs(res.beta - nested_prox(b, 0.4, gs)[1])) <= 1e-7
+        closed_form = nested_prox(dp.ProxInstance(b=b, lam=0.4, group_set=gs))[1]
+        assert np.max(np.abs(res.beta - closed_form)) <= 1e-7
 
     def test_lambda_zero_returns_the_input_on_the_cover(self):
         gs = dp.build_index_map([[0, 1], [0], [0, 1, 3]], d=5)
@@ -397,14 +402,32 @@ class TestNestedProx:
         # energies overflow at 1e200 and underflow at 1e-200
         gs = chain_groups(4)
         b = np.array([1.0, -2.0, 0.5, 3.0])
-        _, unit, _ = nested_prox(b, 0.5, gs)
+        _, unit, _ = nested_prox(dp.ProxInstance(b=b, lam=0.5, group_set=gs))
         assert np.allclose(unit, [0.735, -1.470, 0.368, 2.205], atol=5e-4)
-        _, beta, _ = nested_prox(scale * b, 0.5 * scale, gs)
+        _, beta, _ = nested_prox(dp.ProxInstance(b=scale * b, lam=0.5 * scale, group_set=gs))
         assert np.allclose(beta / scale, unit, rtol=1e-12, atol=0)
 
     def test_unnested_groups_rejected(self, fig1b_groups):
         with pytest.raises(ValueError, match="inclusion"):
-            nested_prox(np.ones(4), 0.5, fig1b_groups)
+            nested_prox(dp.ProxInstance(b=np.ones(4), lam=0.5, group_set=fig1b_groups))
+
+    @pytest.mark.parametrize(
+        "b, lam, error",
+        [
+            ([1.0, np.nan, 3.0], 0.5, dp.NonFiniteInput),
+            ([1.0, 2.0], 0.5, dp.DimensionMismatch),
+            ([1.0, 2.0, 3.0], np.nan, ValueError),
+            ([1.0, 2.0, 3.0], -1.0, ValueError),
+        ],
+    )
+    def test_bad_input_rejected_before_the_block_rule(self, b, lam, error):
+        # nested_prox takes only a checked ProxInstance: on the 3-node chain a
+        # NaN entry, a short b or a bad lam never reaches the closed form
+        gs = chain_groups(3)
+        with pytest.raises(error):
+            nested_prox(dp.ProxInstance(b=np.array(b), lam=lam, group_set=gs))
+        with pytest.raises(TypeError):
+            nested_prox(np.array(b), lam, gs)
 
 
 def assert_in_bracket(beta, gs, tol=1e-12, gap=0.0):
@@ -521,6 +544,11 @@ class TestUnnestedPenalty:
         evaluator = dp.kernels.LatentPenaltyEvaluator(fig1b_groups)
         with pytest.raises(dp.NonFiniteInput, match="latent_hint"):
             evaluator.value(FIG1B_BETA, 1.0, latent_hint=np.full(fig1b_groups.n, np.nan))
+
+    def test_wrong_length_hint_rejected(self, fig1b_groups):
+        evaluator = dp.kernels.LatentPenaltyEvaluator(fig1b_groups)
+        with pytest.raises(dp.DimensionMismatch, match="^latent_hint has shape"):
+            evaluator.value(FIG1B_BETA, 1.0, latent_hint=np.ones(3))
 
     def test_zero_penalty_level_takes_no_evaluator_iteration(self, monkeypatch, fig1b_groups):
         monkeypatch.setattr(dp.kernels, "PENALTY_MAX_ITER", 0)

@@ -252,6 +252,21 @@ class TestFit:
         assert result.inner_iters > 0
         assert result.outer_trace.records[-1].iter == result.outer_iterations
 
+    @pytest.mark.parametrize("edges", [None, TREE_EDGES], ids=["chain", "tree"])
+    @pytest.mark.parametrize("accelerated", [False, True])
+    def test_one_gradient_per_outer_step(self, small_problem, edges, accelerated):
+        # the dimension probe's gradient at 0 is the first step's gradient
+        dag, loss = small_problem
+        if edges is not None:
+            dag = dp.validate_dag(6, edges)
+        calls = []
+        counted = dp.LeastSquaresLoss(loss.design, loss.response)
+        counted.gradient = lambda beta: calls.append(beta.copy()) or loss.gradient(beta)
+        lam = 0.1 * dp.lambda_max(loss, dag)
+        result = dp.fit(counted, dag, lam, accelerated=accelerated)
+        assert len(calls) == result.outer_iterations
+        assert not np.any(calls[0])
+
     def test_trace_does_not_feed_back(self, small_problem):
         dag, loss = small_problem
         lam = 0.1 * dp.lambda_max(loss, dag)

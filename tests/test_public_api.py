@@ -2,14 +2,20 @@
 
 A name left in an ``__all__`` after its definition is deleted breaks
 ``from dagprox import *`` only when someone tries it; this catches it at once.
+Every public entry that takes a penalty level ``lam`` rejects one that is
+not finite and >= 0 with the same message; the guard below makes a new
+entry join that list or say why it is exempt.
 """
 
 import importlib
+import inspect
 import pkgutil
 
+import numpy as np
 import pytest
 
 import dagprox as dp
+from dagprox.kernels import LatentPenaltyEvaluator
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(dp.__path__))
 
@@ -25,3 +31,72 @@ def test_submodule_exports_resolve(name):
 def test_package_exports_resolve_once():
     assert [n for n in dp.__all__ if not hasattr(dp, n)] == []
     assert len(dp.__all__) == len(set(dp.__all__))
+
+
+# the README quick-tour DAG and a point on its support
+QUICK_TOUR = dp.ancestor_groups(dp.validate_dag(4, [(0, 2), (1, 2), (1, 3)]))
+BETA = np.array([1.0, -2.0, 0.5, 3.0])
+
+#: every public entry with a ``lam`` parameter, as a call on ``(lam, tmp_path)``
+LAM_ENTRIES = {
+    "kernels.ProxInstance": lambda lam, _: dp.ProxInstance(b=BETA, lam=lam, group_set=QUICK_TOUR),
+    "kernels.LatentPenaltyEvaluator.value": (
+        lambda lam, _: LatentPenaltyEvaluator(QUICK_TOUR).value(BETA, lam)
+    ),
+    "kernels.log_penalty_value": lambda lam, _: dp.log_penalty_value(BETA, QUICK_TOUR, lam),
+    "learn.fit": lambda lam, _: dp.fit(dp.LeastSquaresLoss(np.eye(4), BETA), QUICK_TOUR, lam),
+    "learn.save_model": (
+        lambda lam, tmp: dp.learn.save_model(tmp / "model.txt", BETA, lam, "least-squares", QUICK_TOUR)
+    ),
+    "bench.BenchmarkSpec": lambda lam, _: dp.bench.BenchmarkSpec("two_layer", lam=lam),
+}
+
+#: entries that take ``lam`` without checking it, and why
+LAM_EXEMPT = {
+    # its callers pass an already-checked lam, and it runs on every
+    # objective evaluation of every solver
+    "kernels.penalty_value",
+    # a result record: it stores the lam that fit checked
+    "learn.FitResult",
+}
+
+
+def public_lam_entries() -> set[str]:
+    """``module.name`` or ``module.Class.method`` of every exported callable taking ``lam``.
+
+    A class counts through its constructor and its public methods.
+    """
+    found = set()
+    for name in SUBMODULES:
+        module = importlib.import_module(f"dagprox.{name}")
+        for attr in getattr(module, "__all__", ()):
+            obj = getattr(module, attr)
+            entries = {f"{name}.{attr}": obj}
+            if inspect.isclass(obj):
+                entries.update(
+                    (f"{name}.{attr}.{m}", f)
+                    for m, f in vars(obj).items()
+                    if not m.startswith("_") and inspect.isfunction(f)
+                )
+            for label, fn in entries.items():
+                if not callable(fn):
+                    continue
+                try:
+                    params = inspect.signature(fn).parameters
+                except (TypeError, ValueError):
+                    continue
+                if "lam" in params:
+                    found.add(label)
+    return found
+
+
+@pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("entry", sorted(LAM_ENTRIES))
+def test_invalid_lam_rejected(entry, lam, tmp_path):
+    with pytest.raises(ValueError, match=r"^lam must be finite and >= 0, got "):
+        LAM_ENTRIES[entry](lam, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_public_lam_entry_checks_it():
+    assert public_lam_entries() == set(LAM_ENTRIES) | LAM_EXEMPT
