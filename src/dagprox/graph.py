@@ -27,6 +27,7 @@ from .errors import (
     DuplicateEdge,
     EmptyGroup,
     IndexOutOfRange,
+    NonFiniteInput,
 )
 
 __all__ = [
@@ -350,9 +351,11 @@ def ancestor_groups(dag: Dag, weights=None) -> GroupSet:
     run_ends = np.cumsum(lens)
     shift = np.array(dag.node_offsets, dtype=np.intp)[nodes] - (run_ends - lens)
     coords = np.repeat(shift, lens) + np.arange(run_ends[-1])
-    group_ends = run_ends[np.cumsum([len(s) for s in sets]) - 1]
-    # sorted, distinct and inside [0, d) by construction
-    return _index_map(np.split(coords, group_ends[:-1]), weights, dag.d)
+    group_ends = run_ends[np.cumsum([len(s) for s in sets]) - 1].tolist()
+    # sorted, distinct and inside [0, d) by construction; plain slices, since
+    # np.split pays a swapaxes call per group
+    groups = [coords[lo:hi] for lo, hi in zip([0] + group_ends[:-1], group_ends)]
+    return _index_map(groups, weights, dag.d)
 
 
 @dataclass(frozen=True)
@@ -400,6 +403,8 @@ def check_hierarchy_conformance(
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (dag.d,):
         raise DimensionMismatch(f"beta has shape {beta.shape}, expected ({dag.d},)")
+    if not np.all(np.isfinite(beta)):
+        raise NonFiniteInput("beta contains NaN or infinity")
     if not threshold > 0:
         raise ValueError("threshold must be positive")
     if mode not in ("strong", "weak"):

@@ -344,7 +344,7 @@ def fit(
             status = "converged"
             break
 
-    if outer.trace_every and (not trace.records or trace.records[-1].iter != k):
+    if outer.trace_every and trace.last_iter != k:
         record(k, beta, res.x, measure)
 
     support = np.flatnonzero(np.abs(beta) > SUPPORT_THRESHOLD)

@@ -44,6 +44,7 @@ feasibility residual ``||x1 - x2||`` to zero at a linear rate in practice.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -97,7 +98,10 @@ DEAD_BOUND_MAX_AGE = 2**20
 
 
 def _check_loop_options(opts, tolerances: tuple[str, ...]) -> None:
-    """Loop options: ``max_iter >= 1``, ``trace_every >= 0``, each tolerance ``>= 0``, not NaN."""
+    """Loop options: integer ``max_iter >= 1`` and ``trace_every >= 0``; tolerances ``>= 0``, not NaN."""
+    for name in ("max_iter", "trace_every"):
+        if not isinstance(getattr(opts, name), numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {getattr(opts, name)!r}")
     if opts.max_iter < 1:
         raise ValueError("max_iter must be positive")
     for name in tolerances:
@@ -214,7 +218,7 @@ class _Tracer:
             return
         if k % self.every and not final:
             return
-        if self.trace.records and self.trace.records[-1].iter == k:
+        if self.trace.last_iter == k:
             return
         obj, pg = computed if computed is not None else objective_and_proxgrad(x, self.inst)
         self.trace.append(

@@ -1,11 +1,12 @@
 import csv
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import dagprox as dp
-from dagprox.diagnostics import TraceRecord
+from dagprox.diagnostics import _ROW_FORMAT, TraceRecord
 from oracles import dense_m, geometric_trace
 
 
@@ -243,11 +244,13 @@ class TestTraceContainer:
         assert np.array_equal(again.iters, res.trace.iters)
 
     def test_csv_bytes_match_csv_writer(self, tmp_path):
-        # the reference is the csv-module form with 17 significant digits
+        # the reference is the csv-module form with 17 significant digits;
+        # 2**62 is exact only in an integer column
         values = [-0.0, 5e-324, 1e-300, 1.7976931348623157e308, 0.1]
+        iters = [0, 1, 2, 3, 2**62]
         records = [
-            TraceRecord(k, *(values[(k + i) % len(values)] for i in range(5)))
-            for k in range(len(values))
+            TraceRecord(k, *(values[(j + i) % len(values)] for i in range(5)))
+            for j, k in enumerate(iters)
         ]
         expected = tmp_path / "expected.csv"
         with open(expected, "w", newline="", encoding="utf-8") as fh:
@@ -258,7 +261,12 @@ class TestTraceContainer:
         path = tmp_path / "trace.csv"
         dp.ConvergenceTrace(records).write_csv(path)
         assert path.read_bytes() == expected.read_bytes()
-        assert dp.ConvergenceTrace.read_csv(path).records == records
+        rows = path.read_text(encoding="utf-8").splitlines(keepends=True)[1:]
+        assert rows == [_ROW_FORMAT % r for r in records]
+        again = dp.ConvergenceTrace.read_csv(path)
+        assert again.records == records
+        assert again.iters.tolist() == iters
+        assert [str(v) for r in again for v in r] == [str(v) for r in records for v in r]
 
     def test_iterations_strictly_increasing(self):
         trace = dp.ConvergenceTrace()
@@ -283,3 +291,78 @@ class TestTraceContainer:
         # a trace that could be built could be written but not read back
         with pytest.raises(ValueError):
             dp.ConvergenceTrace(records)
+
+
+class TestTraceColumns:
+    """The column store reads back exactly what a list of records held."""
+
+    @staticmethod
+    def _records(num):
+        return [
+            TraceRecord(3 * k + 1, 1e-3 * k, 1.0 / (k + 1), 0.5**k, -0.0, float(k))
+            for k in range(num)
+        ]
+
+    def test_every_read_path_matches_the_record_list(self):
+        records = self._records(40)
+        trace = dp.ConvergenceTrace(records)
+        assert len(trace) == len(records)
+        assert trace.records == records
+        assert list(trace) == records
+        for i in (0, 7, 39, -1, -40):
+            assert trace[i] == records[i]
+            assert type(trace[i]) is TraceRecord
+        with pytest.raises(IndexError):
+            trace[40]
+        for sl in (slice(None), slice(5, 9), slice(20, None), slice(None, -3), slice(None, None, -7)):
+            assert trace[sl] == records[sl]
+        assert trace.last_iter == records[-1].iter
+        assert trace.iters.dtype == np.intp
+        assert trace.iters.tolist() == [r.iter for r in records]
+        assert trace.objectives.tolist() == [r.objective for r in records]
+        # criterion 3 fits the rate on the second half of a sharing trace
+        tail = dp.ConvergenceTrace(trace.records[len(records) // 2:])
+        assert tail.records == records[len(records) // 2:]
+        assert tail.iters.tolist() == [r.iter for r in records[len(records) // 2:]]
+
+    def test_empty_trace(self):
+        trace = dp.ConvergenceTrace()
+        assert len(trace) == 0 and not trace.records and list(trace) == []
+        assert trace.last_iter is None
+        assert trace.iters.dtype == np.intp and trace.iters.size == 0
+        assert trace.objectives.size == 0
+        assert trace[:] == []
+
+    def test_reads_see_later_appends(self):
+        trace = dp.ConvergenceTrace(self._records(3))
+        iters = trace.iters
+        trace.append(TraceRecord(100, 0.0, 1.0, 0.0, 0.0, 0.0))
+        assert iters.tolist() == [1, 4, 7]
+        assert trace.iters.tolist() == [1, 4, 7, 100]
+        assert trace[-1].iter == trace.last_iter == 100
+
+    def test_rejected_append_leaves_the_trace_unchanged(self):
+        trace = dp.ConvergenceTrace(self._records(3))
+        for bad in (
+            TraceRecord(2**63, 0.0, 1.0, 0.0, 0.0, 0.0),
+            TraceRecord(50, 0.0, 1.0, float("inf"), 0.0, 0.0),
+            TraceRecord(5, 0.0, 1.0, 0.0, 0.0, 0.0),
+        ):
+            with pytest.raises((ValueError, OverflowError)):
+                trace.append(bad)
+        assert trace.records == self._records(3)
+
+    def test_memory_per_record(self):
+        num = 100_000
+        tracemalloc.start()
+        try:
+            trace = dp.ConvergenceTrace()
+            before = tracemalloc.get_traced_memory()[0]
+            for k in range(num):
+                trace.append(TraceRecord(k, 1e-6 * k, 1.0 + 1.0 / (k + 1), 0.5, 0.25, 0.125))
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # six 8-byte columns plus the arrays' growth slack
+        assert len(trace) == num
+        assert grown <= 64 * num, grown / num

@@ -282,6 +282,13 @@ class TestHierarchyConformance:
         with pytest.raises(dp.DimensionMismatch):
             dp.check_hierarchy_conformance(fig1b, np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_beta_rejected(self, bad):
+        # NaN fails every comparison with the threshold, so it would read as a zero node
+        chain = dp.validate_dag(3, [(0, 1), (1, 2)])
+        with pytest.raises(dp.NonFiniteInput):
+            dp.check_hierarchy_conformance(chain, np.array([bad, 1.0, 1.0]))
+
     def test_bad_mode_and_threshold(self, fig1b):
         with pytest.raises(ValueError):
             dp.check_hierarchy_conformance(fig1b, np.zeros(4), mode="both")

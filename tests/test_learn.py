@@ -227,7 +227,8 @@ class TestFit:
         "field, value",
         [("max_iter", 0), ("max_iter", -1), ("tol", -1.0), ("tol", float("nan")),
          ("trace_every", -1), ("inner_tol_coeff", -1.0), ("inner_tol_coeff", float("nan")),
-         ("inner_tol_floor", -1.0), ("inner_tol_floor", float("nan"))],
+         ("inner_tol_floor", -1.0), ("inner_tol_floor", float("nan")),
+         ("max_iter", 2.5), ("max_iter", float("nan")), ("trace_every", 1.5)],
     )
     def test_bad_outer_options_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

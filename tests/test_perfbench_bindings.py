@@ -150,3 +150,28 @@ def test_shrunk_workload_passes_its_checks(spans, tmp_path, name, traced):
     assert {label: r for label, r in reasons.items() if r} == {}
     if traced:
         assert wl.expected_spans <= {node.name for node in tree.root.walk() if node.count}
+
+
+def test_criterion6_units_read_the_hitting_record(monkeypatch):
+    # the traced study reports criterion 6's wall seconds from the trace
+    # record at the hitting iteration
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    runs = {
+        topo: dp.bench.run_benchmark(
+            dp.bench.BenchmarkSpec(topo, reps=1, solvers=("sharing", "bcd"), **size)
+        )
+        for topo, size in (("binary_tree", {"depth": 4}), ("root_two_paths", {"nodes": 9}))
+    }
+    units = workloads.criterion6_units(runs)
+    for topo, run in runs.items():
+        inst = run.instances[0]
+        for name in ("sharing", "bcd"):
+            trace = inst.results[name].trace
+            hit = dp.bench.iterations_to_gap(inst.results[name], inst.f_star, 1e-6)
+            (record,) = [r for r in trace if r.iter == hit]
+            key = f"bench.c6_{topo}_{name}"
+            assert units[f"{key}.iters_to_gap"] == hit
+            assert units[f"{key}.block_updates"] == hit * run.group_set.num_groups
+            assert units[f"{key}.wall_s"] == record.wall_s > 0

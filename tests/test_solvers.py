@@ -212,6 +212,15 @@ class TestOptionsAndErrors:
             dp.SolveOptions(max_iter=0)
         with pytest.raises(ValueError):
             dp.SolveOptions(trace_every=-1)
+        # accepted here, these would fail only inside a solver's range() call
+        for name, value in [("max_iter", float("nan")), ("max_iter", 2.5), ("max_iter", 100.0),
+                            ("trace_every", 1.5), ("trace_every", "1")]:
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                dp.SolveOptions(**{name: value})
+
+    def test_numpy_integer_loop_counts_accepted(self):
+        opts = dp.SolveOptions(max_iter=np.int64(5), trace_every=np.int32(1))
+        assert opts.max_iter == 5 and opts.trace_every == 1
 
 
 class TestRandomizedBcd:
