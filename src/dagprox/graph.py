@@ -221,7 +221,7 @@ class GroupSet:
     @cached_property
     def stacked_coords(self) -> np.ndarray:
         """Ambient coordinate of every stacked entry (length ``n``)."""
-        return np.concatenate(self.groups).astype(np.intp)
+        return np.concatenate(self.groups).astype(np.intp, copy=False)
 
     @cached_property
     def cover_counts(self) -> np.ndarray:

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Protocol, runtime_checkable
 
 import numpy as np
-from scipy.special import expit
 
 from .diagnostics import ConvergenceTrace, TraceRecord
 from .errors import DimensionMismatch, InnerSolverWarning, NonFiniteInput
@@ -137,6 +136,10 @@ class LogisticLoss(_DesignLoss):
         return float(np.logaddexp(0.0, -self._margins(beta)).sum())
 
     def gradient(self, beta) -> np.ndarray:
+        # SciPy loads on the first gradient, not with the module.  numpy's
+        # 1 / (1 + exp(-z)) differs from expit in the last bit and overflows
+        from scipy.special import expit
+
         sig = expit(-self._margins(beta))
         return -self.design.T @ (self.labels * sig)
 

@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .diagnostics import (
     ConvergenceTrace,
@@ -148,21 +147,48 @@ class SolveOptions:
         return alpha
 
 
-@dataclass
 class SolverState:
     """Final primal blocks and unscaled dual of an ADMM run.
 
-    ``y`` is the unscaled multiplier, one stacked entry per latent copy.
-    The sharing solver keeps it as ``y = rho M^T w`` with ``w`` in ``R^d``,
-    so every copy of a coordinate holds the same value.  Passed back as
-    ``state=``, it warm-starts the sharing solver from ``x2`` and from
-    ``w = M y / (rho c)``, the mean of each coordinate's copies of
+    ``x1`` is the prox block, ``x2`` the coupled block and ``y`` the
+    unscaled multiplier, one stacked entry per latent copy each.  Passed
+    back as ``state=``, it warm-starts the sharing solver from ``x2`` and
+    from ``w = M y / (rho c)``, the mean of each coordinate's copies of
     ``y / rho``.  The iteration count is :attr:`ProxResult.iterations`.
+
+    ``SolverState(x1, x2, y)`` holds the three arrays it is given.  A state
+    returned by :func:`prox_log_admm_sharing` holds ``x1``, the d-vectors
+    ``g`` and ``rho w`` of the last step and the operator ``M``, so it costs
+    ``n + 2d`` floats, not ``3n``: ``x2 = x1 + M^T g`` and
+    ``y = M^T (rho w)`` are built the first time each is read, from ``x1``
+    as it is then, and kept.  Every copy of a coordinate holds the same
+    value of that ``y``.
     """
 
-    x1: np.ndarray
-    x2: np.ndarray
-    y: np.ndarray
+    __slots__ = ("x1", "_x2", "_y", "_g", "_rho_w", "_operator")
+
+    def __init__(self, x1, x2, y):
+        self.x1, self._x2, self._y = x1, x2, y
+        self._g = self._rho_w = self._operator = None
+
+    @classmethod
+    def _sharing(cls, x1, g, rho_w, operator) -> "SolverState":
+        """The state of a sharing run, holding ``x1``, ``g``, ``rho w`` and ``M``."""
+        state = cls(x1, None, None)
+        state._g, state._rho_w, state._operator = g, rho_w, operator
+        return state
+
+    @property
+    def x2(self) -> np.ndarray:
+        if self._x2 is None and self._g is not None:
+            self._x2 = self.x1 + self._operator.adjoint_apply(self._g)
+        return self._x2
+
+    @property
+    def y(self) -> np.ndarray:
+        if self._y is None and self._rho_w is not None:
+            self._y = self._operator.adjoint_apply(self._rho_w)
+        return self._y
 
 
 @dataclass
@@ -231,6 +257,29 @@ class _Tracer:
                 proxgrad_norm=pg,
             )
         )
+
+
+class _PackedGroups:
+    """The stacked entries of a set of groups, packed group after group.
+
+    ``idx`` are the entries' stacked positions and ``coords`` their ambient
+    coordinates; the group ``groups[i]`` fills ``sizes[i]`` entries from
+    ``local[i]``.
+    """
+
+    def __init__(self, groups: np.ndarray, gs, thresholds: np.ndarray):
+        self.groups = groups
+        self.member = np.zeros(gs.num_groups, dtype=bool)
+        self.member[groups] = True
+        self.sizes = gs.sizes[groups]
+        self.local = np.cumsum(self.sizes) - self.sizes
+        self.idx = np.repeat(gs.starts[groups] - self.local, self.sizes)
+        self.idx += np.arange(self.idx.size)
+        self.coords = gs.stacked_coords[self.idx]
+        self.thresholds = thresholds[groups]
+
+    def holds(self, groups: np.ndarray) -> bool:
+        return bool(self.member[groups].all())
 
 
 def _check_finite(value: float, k: int, what: str) -> None:
@@ -349,20 +398,30 @@ def prox_log_admm_sharing(
     every zero group and advances it each step by
     ``min(||dt||_2, sqrt(|g|) ||dt||_inf) (1 + DEAD_BOUND_MARGIN)``.  A
     step refreshes only the nonzero groups and the zero groups whose bound
-    reaches ``(1 - DEAD_BOUND_MARGIN) lam w_j / rho``: it gathers their
-    entries, norms them segment by segment, shrinks them in place and sums
-    them into ``M x1`` with one ``bincount``.  Every other group is
-    certified to stay zero, so each norm, shrink factor, ``M x1``, ``g``,
-    ``w``, residual and stop decision has the value the dense step computes
-    (a certified group keeps ``+0.0`` where the dense step writes ``-0.0``).
-    A step that must refresh every group (always the first) is that dense
-    step, through :func:`blockwise_soft_threshold` and the operator; the
-    next step reseeds the bounds from its group norms.
+    reaches ``(1 - DEAD_BOUND_MARGIN) lam w_j / rho``: it norms their
+    entries segment by segment, shrinks them and sums them into ``M x1``
+    with one ``bincount``.  Every other group is certified to stay zero, so
+    each norm, shrink factor, ``M x1``, ``g``, ``w``, residual and stop
+    decision has the value the dense step computes (a certified group may
+    keep ``+0.0`` where the dense step writes ``-0.0``).  A step that must
+    refresh every group (always the first) is that dense step, through
+    :func:`blockwise_soft_threshold` and the operator; the next step reseeds
+    the bounds from its group norms.
+
+    The refreshed groups' entries are packed group after group and kept
+    packed from step to step.  The layout stays while every group the
+    certificate asks for is in it; its certified groups are refreshed too,
+    which leaves them zero.  The packed entries are written into ``x1`` only
+    where ``x1`` is read: by the dual residual, the trace, the callback, the
+    dense step, a new layout and the exit.
 
     ``state`` warm-starts ``x2`` and ``y``; ``w`` starts at the mean of each
     coordinate's copies of ``y / rho``.  ``callback(k, x1, x2, y)`` fires
     after every dual update with copies of the iterates: ``x2`` and the
-    unscaled ``y = rho M^T w`` are built for it.
+    unscaled ``y = rho M^T w`` are built for it.  The returned
+    :class:`SolverState` holds ``x1`` and the d-vectors ``g`` and
+    ``rho w``; it builds ``x2 = x1 + M^T g`` and ``y = M^T (rho w)`` the
+    first time each is read.
     """
     opts = opts or SolveOptions()
     alpha = opts.require_admm_steps()
@@ -380,14 +439,25 @@ def prox_log_admm_sharing(
     if state is None:
         x1, mx1, w = np.zeros(inst.n), np.zeros(inst.d), np.zeros(inst.d)
     else:
-        x1, mx1 = state.x2, op.apply(state.x2)
+        x1 = state.x2
+        mx1 = op.apply(x1)
         w = op.apply(state.y) / (rho * c_safe)
     dual_step = alpha / rho
     consensus_scale = rho + c_safe
     # live: the groups whose latent is nonzero; bound: >= ||t_j|| on the
     # others.  seed: the prox input of the last dense step, whose group norms
     # set both on the next step; dead_before: the groups zero going into it.
-    live = bound = seed = t = layout = None
+    live = bound = seed = t = None
+    # packed: the groups the lazy steps refresh; vals: their entries, newer
+    # than x1's, or None when x1 holds them
+    packed = vals = None
+
+    def write_back():
+        nonlocal vals
+        if vals is not None:
+            x1[packed.idx] = vals  # x1 is the loop's own array after the first step
+            vals = None
+
     status = "max_iter"
     k = 0
     for k in range(1, opts.max_iter + 1):
@@ -409,43 +479,44 @@ def prox_log_admm_sharing(
             # test, so its group is refreshed
             refresh = (~(bound <= certified)).nonzero()[0]
         if refresh is None or refresh.size == gs.num_groups:
+            write_back()
             dead_before = ~live if k > 1 else state is None
             seed = x1 + op.adjoint_apply(t)
             x1 = blockwise_soft_threshold(seed, thresholds, gs)
             mx1 = op.apply(x1)
-            old = None
+            vals_prev = None
         else:
-            if layout is None or refresh.tobytes() != layout[0]:
-                # the refreshed groups' stacked entries, packed group after
-                # group; kept while later steps refresh the same groups
-                seg_sizes = gs.sizes[refresh]
-                local = np.cumsum(seg_sizes) - seg_sizes
-                idx = np.repeat(gs.starts[refresh] - local, seg_sizes)
-                idx += np.arange(idx.size)
-                packed = gs.stacked_coords[idx]
-                layout = refresh.tobytes(), seg_sizes, local, idx, packed, thresholds[refresh]
-            _, seg_sizes, local, idx, packed, seg_thresholds = layout
-            old = x1[idx]
-            v = old + t[packed]
-            norms = np.sqrt(np.add.reduceat(v * v, local))
-            factors, now_live = _shrink_factors(norms, seg_thresholds)
-            v *= np.repeat(factors, seg_sizes)
-            x1[idx] = v  # x1 is the loop's own array after the first step
+            if packed is None or not packed.holds(refresh):
+                write_back()
+                packed = _PackedGroups(refresh, gs, thresholds)
+            # a certified group in the layout is refreshed too: its norm is
+            # ||t_j||, at most its threshold, so it stays zero
+            vals_prev = x1[packed.idx] if vals is None else vals
+            vals = vals_prev + t[packed.coords]
+            norms = np.sqrt(np.add.reduceat(vals * vals, packed.local))
+            factors, now_live = _shrink_factors(norms, packed.thresholds)
+            vals *= np.repeat(factors, packed.sizes)
             # bincount of nothing would be an integer array
-            mx1 = np.bincount(packed, weights=v, minlength=inst.d) if v.size else np.zeros(inst.d)
-            # a group zero before and after has v = t, so its norm is ||t_j||
-            bound[refresh] = np.where(now_live | live[refresh], np.inf, norms)
-            live[refresh] = now_live
+            mx1 = (
+                np.bincount(packed.coords, weights=vals, minlength=inst.d)
+                if vals.size
+                else np.zeros(inst.d)
+            )
+            # a group zero before and after has vals = t, so its norm is ||t_j||
+            bound[packed.groups] = np.where(now_live | live[packed.groups], np.inf, norms)
+            live[packed.groups] = now_live
         g = (b - mx1 + rho * w) / consensus_scale
         w = w - dual_step * g
         primal = math.sqrt(cover @ (g * g))
         # only the trace and a stop test whose primal half passed read the
-        # dual residual; the 0.0 placeholder reaches neither
+        # dual residual; the 0.0 placeholder reaches neither.  Either way x1
+        # is written back before the tracer reads it.
         dual_res = 0.0
         if opts.trace_every or primal <= opts.tol_primal:
-            if old is not None:  # x1 was updated in place
+            if vals_prev is not None:  # a lazy step: rebuild the previous x1
                 x1_prev = x1.copy()
-                x1_prev[idx] = old
+                x1_prev[packed.idx] = vals_prev
+                write_back()
             dg = g - g_prev
             dx1 = x1 - x1_prev
             dual_sq = dx1 @ dx1 + 2.0 * ((mx1 - mx1_prev) @ dg) + cover @ (dg * dg)
@@ -453,13 +524,15 @@ def prox_log_admm_sharing(
         if not math.isfinite(primal + dual_res):
             _check_finite(primal + dual_res, k, "ADMM iterate")
         if callback is not None:
+            write_back()
             callback(k, x1.copy(), x1 + op.adjoint_apply(g), op.adjoint_apply(rho * w))
         tracer.record(k, x1, primal, dual_res)
         if primal <= opts.tol_primal and dual_res <= opts.tol_dual:
             status = "converged"
             break
+    write_back()
     tracer.record(k, x1, primal, dual_res, final=True)
-    final = SolverState(x1=x1, x2=x1 + op.adjoint_apply(g), y=op.adjoint_apply(rho * w))
+    final = SolverState._sharing(x1, g, rho * w, op)
     return _result(inst, x1, status, k, tracer, state=final, beta=mx1)
 
 
@@ -474,8 +547,11 @@ def prox_log_admm_unscaled(
     and the coupled block solved against a Cholesky factor of
     ``(M^T M + rho I)``, built from the dense ``M`` on every call.  Bounded
     by :data:`~dagprox.kernels.DENSE_CAP`; same stopping rule and callback
-    as the sharing solver; no tracing and no warm start.
+    as the sharing solver; no tracing and no warm start.  SciPy is imported
+    here, not with the module, so that the library loads without it.
     """
+    import scipy.linalg
+
     opts = opts or SolveOptions()
     alpha = opts.require_admm_steps()
     rho = opts.rho

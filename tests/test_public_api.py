@@ -4,12 +4,18 @@ A name left in an ``__all__`` after its definition is deleted breaks
 ``from dagprox import *`` only when someone tries it; this catches it at once.
 Every public entry that takes a penalty level ``lam`` rejects one that is
 not finite and >= 0 with the same message; the guard below makes a new
-entry join that list or say why it is exempt.
+entry join that list or say why it is exempt.  Importing the package, the
+CLI included, loads no SciPy submodule: only ``LogisticLoss`` and the dense
+test reference need one, and they import it where they use it.
 """
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,3 +106,17 @@ def test_invalid_lam_rejected(entry, lam, tmp_path):
 
 def test_every_public_lam_entry_checks_it():
     assert public_lam_entries() == set(LAM_ENTRIES) | LAM_EXEMPT
+
+
+def test_import_loads_no_scipy_submodules():
+    src = Path(dp.__file__).resolve().parents[1]
+    code = (
+        "import sys, dagprox, dagprox.cli; "
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.special') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

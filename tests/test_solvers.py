@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -583,3 +586,105 @@ class TestTextbookSharing:
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert "iteration 1" in messages[0]
+
+
+@pytest.fixture(scope="module")
+def tree10_instance():
+    gs = dp.ancestor_groups(dp.bench.binary_tree(10))
+    return dp.ProxInstance(b=dp.bench.sample_input(gs.d, 0, 0), lam=0.5, group_set=gs)
+
+
+def record_layouts(monkeypatch) -> list:
+    """Record ``(groups asked for, groups held, reused)`` at every layout test."""
+    checks = []
+
+    class Recorded(dp.solvers._PackedGroups):
+        def holds(self, groups):
+            reused = super().holds(groups)
+            checks.append((groups.size, self.groups.size, reused))
+            return reused
+
+    monkeypatch.setattr(dp.solvers, "_PackedGroups", Recorded)
+    return checks
+
+
+class TestPackedSteps:
+    """The lazy steps keep their groups' entries packed between steps.
+
+    They write them into ``x1`` only where it is read, and keep a layout
+    while it holds every group the certificate asks for.  Whether a run
+    reads ``x1`` every step (traced, with a callback) or only at the end,
+    its iterations, iterates and state are the dense textbook loop's.
+    """
+
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0])
+    def test_every_reader_sees_the_textbook_iterates(self, lam, tree10_instance, monkeypatch):
+        inst = with_lambda(tree10_instance, lam)
+        layouts = record_layouts(monkeypatch)
+        seen = []
+        runs = {
+            "untraced": (dp.SolveOptions(), None),
+            "trace1": (dp.SolveOptions(trace_every=1), None),
+            "trace7": (dp.SolveOptions(trace_every=7), None),
+            "callback": (dp.SolveOptions(), lambda k, x1, x2, y: seen.append(k)),
+        }
+        for name, (opts, callback) in runs.items():
+            res = dp.prox_log_admm_sharing(inst, opts, callback=callback)
+            assert res.converged, name
+            TestTextbookSharing.assert_same(res, textbook_sharing(inst, opts))
+        assert seen == list(range(1, res.iterations + 1))
+        # a layout was kept while the certificate asked for fewer groups
+        assert any(reused and asked < held for asked, held, reused in layouts)
+
+
+class TestCompactState:
+    """A sharing result keeps O(d) state beside its latent.
+
+    ``x2`` and ``y`` are built on first read, from the same expressions as
+    the callback's, so they hold the same bits.
+    """
+
+    @pytest.mark.parametrize("rho", [1.0, 2.5])
+    def test_blocks_built_on_read_match_the_last_step(self, rho, tree9_instance):
+        opts = dp.SolveOptions(rho=rho)
+        last = []
+
+        def keep_last(k, x1, x2, y):
+            last[:] = [x2, y]
+
+        dp.prox_log_admm_sharing(tree9_instance, opts, callback=keep_last)
+        state = dp.prox_log_admm_sharing(tree9_instance, opts).state
+        d = tree9_instance.d
+        assert state._x2 is None and state._y is None
+        assert state._g.shape == state._rho_w.shape == (d,)
+        assert state.x2.tobytes() == last[0].tobytes()
+        assert state.y.tobytes() == last[1].tobytes()
+        assert state.x2 is state.x2 and state.y is state.y
+
+    @pytest.mark.parametrize("instance", ["small_instance", "tree9_instance", "uncovered_instance"])
+    def test_warm_start_matches_the_arrays_it_returns(self, instance, request):
+        inst = request.getfixturevalue(instance)
+        nearby = dp.ProxInstance(b=inst.b + 1e-3, lam=inst.lam, group_set=inst.group_set)
+        cold = dp.prox_log_admm_sharing(inst, dp.SolveOptions(max_iter=40))
+        compact = dp.prox_log_admm_sharing(nearby, state=cold.state)
+        arrays = dp.SolverState(x1=cold.state.x1, x2=cold.state.x2.copy(), y=cold.state.y.copy())
+        explicit = dp.prox_log_admm_sharing(nearby, state=arrays)
+        assert compact.iterations == explicit.iterations
+        assert compact.x.tobytes() == explicit.x.tobytes()
+        assert compact.beta.tobytes() == explicit.beta.tobytes()
+
+    def test_retained_results_hold_n_plus_o_d(self, tree9_instance):
+        inst = tree9_instance
+        n, d = inst.n, inst.d
+        dp.prox_log_admm_sharing(inst)  # fill the group set's cached layouts
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kept = [dp.prox_log_admm_sharing(inst) for _ in range(8)]
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert all(res.converged for res in kept)
+        assert held <= 8 * (n + 4 * d) * 8 * 1.1
