@@ -19,7 +19,7 @@ import numpy as np
 
 from .diagnostics import fit_linear_rate
 from .errors import InsufficientData
-from .graph import Dag, GroupSet, ancestor_groups, validate_dag
+from .graph import Dag, GroupSet, _check_int, ancestor_groups, validate_dag
 from .kernels import ProxInstance, SumOperator, _check_lam
 from .solvers import SOLVER_NAMES, ProxResult, SolveOptions, solve_prox
 
@@ -46,14 +46,14 @@ EPSILONS = tuple(10.0 ** (-e) for e in range(2, 9))
 
 def two_layer(d: int) -> Dag:
     """One root with ``d - 1`` children."""
-    if d < 2:
+    if _check_int(d, "d") < 2:
         raise ValueError("two_layer needs d >= 2")
     return validate_dag(d, [(0, i) for i in range(1, d)])
 
 
 def binary_tree(depth: int) -> Dag:
     """Complete binary tree with ``depth`` levels (``2**depth - 1`` nodes)."""
-    if depth < 1:
+    if _check_int(depth, "depth") < 1:
         raise ValueError("binary_tree needs depth >= 1")
     n = 2**depth - 1
     edges = [(p, c) for p in range(n) for c in (2 * p + 1, 2 * p + 2) if c < n]
@@ -62,7 +62,7 @@ def binary_tree(depth: int) -> Dag:
 
 def root_two_paths(d: int) -> Dag:
     """A root feeding two chains of ``(d - 1) / 2`` nodes each."""
-    if d < 3 or d % 2 == 0:
+    if _check_int(d, "d") < 3 or d % 2 == 0:
         raise ValueError("root_two_paths needs odd d >= 3")
     k = (d - 1) // 2
     edges = [(0, 1), (0, k + 1)]
@@ -73,7 +73,7 @@ def root_two_paths(d: int) -> Dag:
 
 def random_dag(num_nodes: int, edge_prob: float = 0.3, seed: int = 0) -> Dag:
     """Seeded Erdos-Renyi DAG: coin-flip edges respecting the index order."""
-    if num_nodes < 1:
+    if _check_int(num_nodes, "num_nodes") < 1:
         raise ValueError("random_dag needs num_nodes >= 1")
     if not 0 <= edge_prob <= 1:
         raise ValueError("edge_prob must lie in [0, 1]")
@@ -133,7 +133,7 @@ class BenchmarkSpec:
             raise ValueError(
                 f"unknown solver(s) {', '.join(unknown)} (choose from {', '.join(SOLVER_NAMES)})"
             )
-        if self.reps < 1:
+        if _check_int(self.reps, "reps") < 1:
             raise ValueError(f"reps must be at least 1, got {self.reps}")
         _check_lam(self.lam)
         if "sharing" in self.solvers:

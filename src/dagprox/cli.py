@@ -148,7 +148,7 @@ def cmd_prox(graph_path, groups_path, b_file, b_inline, lam, solver,
     if (b_file is None) == (b_inline is None):
         raise click.UsageError("exactly one of --b-file or --b is required")
     if b_file is not None:
-        b = np.loadtxt(b_file, delimiter=",", dtype=float).reshape(-1)
+        b = load_response(b_file)
     else:
         b = np.array([float(t) for t in b_inline.split(",")])
     group_set, _ = _load_groups(graph_path, groups_path, d_hint=b.size)

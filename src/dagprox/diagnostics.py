@@ -10,8 +10,9 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientData
-from .kernels import ProxInstance, blockwise_soft_threshold, objective_and_residual
+from .errors import InsufficientData
+from .graph import _check_vector
+from .kernels import ProxInstance, _segment_norms, blockwise_soft_threshold, objective_and_residual
 
 __all__ = [
     "TraceRecord",
@@ -120,6 +121,9 @@ class ConvergenceTrace:
             if header != TRACE_HEADER:
                 raise ValueError(f"{path}: unexpected trace header {header}")
             for row in reader:
+                if len(row) != len(TRACE_HEADER):
+                    raise ValueError(f"{path}: line {reader.line_num} has {len(row)} fields, "
+                                     f"expected {len(TRACE_HEADER)}")
                 trace.append(TraceRecord(int(row[0]), *(float(v) for v in row[1:])))
         return trace
 
@@ -181,37 +185,29 @@ def kkt_residual(
 
     * ``stationarity2 = ||M^T(M x2 - b) + rho (x2 - x1) - y||_2``, the
       smooth block's stationarity;
-    * ``stationarity1``: per group, the distance of
-      ``y_{j(g)} + rho (x1 - x2)_{j(g)}`` from the subdifferential of
-      ``lam w_g ||.||_2`` at ``x1_{j(g)}`` (gradient residual on nonzero
-      blocks, norm excess over the threshold on zero blocks), aggregated
-      in l2 over groups;
+    * ``stationarity1``: per group, the distance of ``z = y + rho (x1 - x2)``
+      from the subdifferential of ``lam w_g ||.||_2`` at ``x1_{j(g)}``, i.e.
+      ``||z_g + lam w_g x1_g / ||x1_g|| ||`` on nonzero blocks and
+      ``max(0, ||z_g|| - lam w_g)`` on zero blocks, in l2 over groups;
     * ``feasibility = ||x1 - x2||_2``.
 
-    Conic multipliers are eliminated analytically.
+    Conic multipliers are eliminated analytically; every per-group term is a
+    segment operation over the stacked vectors, which must be finite.
     """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    y = np.asarray(y, dtype=float)
     n = inst.n
-    if x1.shape != (n,) or x2.shape != (n,) or y.shape != (n,):
-        raise DimensionMismatch("x1, x2, y must all have the stacked length")
+    x1, x2, y = _check_vector(x1, n, "x1"), _check_vector(x2, n, "x2"), _check_vector(y, n, "y")
     op = inst.operator
     gs = inst.group_set
 
     stat2 = float(np.linalg.norm(op.adjoint_apply(op.apply(x2) - inst.b) + rho * (x2 - x1) - y))
 
-    dual_blocks = y + rho * (x1 - x2)
-    per_group = np.zeros(gs.num_groups)
-    for j, (lo, hi) in enumerate(gs.index_ranges):
-        t = inst.lam * gs.weights[j]
-        block = x1[lo:hi]
-        dual = dual_blocks[lo:hi]
-        norm_block = np.linalg.norm(block)
-        if norm_block > 0:
-            per_group[j] = np.linalg.norm(dual + t * block / norm_block)
-        else:
-            per_group[j] = max(0.0, np.linalg.norm(dual) - t)
+    t = inst.lam * gs.weights
+    block_norms = _segment_norms(x1, gs)
+    nonzero = block_norms > 0
+    # on a zero block the x1 term vanishes, so the residual is the dual block itself
+    scale = np.divide(t, block_norms, out=np.zeros(gs.num_groups), where=nonzero)
+    residual_norms = _segment_norms(y + rho * (x1 - x2) + np.repeat(scale, gs.sizes) * x1, gs)
+    per_group = np.where(nonzero, residual_norms, np.maximum(residual_norms - t, 0.0))
     stat1 = float(np.linalg.norm(per_group))
 
     feas = float(np.linalg.norm(x1 - x2))

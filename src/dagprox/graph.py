@@ -13,6 +13,7 @@ available for randomized block-coordinate experiments.
 from __future__ import annotations
 
 import hashlib
+import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -44,6 +45,24 @@ __all__ = [
     "read_group_file",
     "write_group_file",
 ]
+
+
+def _check_int(value, name: str) -> int:
+    """``value`` as an ``int``; ``ValueError("… must be an integer, got …")`` unless it is one."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_vector(v, length: int, name: str) -> np.ndarray:
+    """``v`` as a float array of shape ``(length,)`` with finite entries."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (length,):
+        raise DimensionMismatch(f"{name} has shape {v.shape} (length {v.size}), expected ({length},)")
+    if not np.all(np.isfinite(v)):
+        raise NonFiniteInput(f"{name} contains non-finite entries")
+    return v
 
 
 @dataclass(frozen=True)
@@ -110,6 +129,8 @@ def validate_dag(num_nodes, edges, node_dims=None) -> Dag:
 
     Raises
     ------
+    ValueError
+        ``num_nodes < 1``, or a count, endpoint or dimension that is no integer.
     IndexOutOfRange
         An edge endpoint is outside ``[0, num_nodes)``.
     DuplicateEdge
@@ -119,14 +140,17 @@ def validate_dag(num_nodes, edges, node_dims=None) -> Dag:
     DimensionMismatch
         ``node_dims`` has the wrong length or a non-positive entry.
     """
-    num_nodes = int(num_nodes)
+    num_nodes = _check_int(num_nodes, "num_nodes")
     if num_nodes < 1:
         raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
 
     edge_list: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for e in edges:
-        u, v = int(e[0]), int(e[1])
+        try:
+            u, v = operator.index(e[0]), operator.index(e[1])
+        except TypeError:  # the checks name the endpoint that is not an integer
+            u, v = _check_int(e[0], "edge endpoint"), _check_int(e[1], "edge endpoint")
         if not (0 <= u < num_nodes and 0 <= v < num_nodes):
             raise IndexOutOfRange(
                 f"edge ({u}, {v}) has an endpoint outside [0, {num_nodes})"
@@ -139,7 +163,7 @@ def validate_dag(num_nodes, edges, node_dims=None) -> Dag:
     if node_dims is None:
         dims = (1,) * num_nodes
     else:
-        dims = tuple(int(k) for k in node_dims)
+        dims = tuple(_check_int(k, "node_dims entry") for k in node_dims)
         if len(dims) != num_nodes:
             raise DimensionMismatch(
                 f"node_dims has length {len(dims)}, expected {num_nodes}"
@@ -290,20 +314,26 @@ def build_index_map(groups, weights=None, d=None) -> GroupSet:
     ------
     EmptyGroup
         Some group has no coordinates.
+    ValueError
+        A coordinate or ``d`` is not an integer, or a weight is not positive and finite.
     IndexOutOfRange
         A coordinate falls outside ``[0, d)``.
     """
     arrs: list[np.ndarray] = []
     for g in groups:
-        a = np.unique(np.asarray(g, dtype=np.intp))
+        a = np.asarray(g)
         if a.size == 0:
             raise EmptyGroup("groups must be nonempty")
+        if a.dtype.kind not in "biu":  # the rule names the first coordinate that breaks it
+            for c in a.ravel().tolist():
+                _check_int(c, "group coordinate")
+        a = np.unique(a.astype(np.intp, copy=False))
         if a[0] < 0:
             raise IndexOutOfRange(f"negative coordinate {a[0]} in group")
         arrs.append(a)
     if d is None:
         d = int(max(a[-1] for a in arrs)) + 1
-    d = int(d)
+    d = _check_int(d, "d")
     for a in arrs:
         if a[-1] >= d:
             raise IndexOutOfRange(f"coordinate {a[-1]} outside [0, {d})")
@@ -400,11 +430,7 @@ def check_hierarchy_conformance(
     threshold : float, > 0
     mode : {"strong", "weak"}
     """
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (dag.d,):
-        raise DimensionMismatch(f"beta has shape {beta.shape}, expected ({dag.d},)")
-    if not np.all(np.isfinite(beta)):
-        raise NonFiniteInput("beta contains NaN or infinity")
+    beta = _check_vector(beta, dag.d, "beta")
     if not threshold > 0:
         raise ValueError("threshold must be positive")
     if mode not in ("strong", "weak"):
@@ -479,6 +505,8 @@ def _parse_edge_list(lines) -> Dag:
         elif parts[0] == "dims":
             if num_nodes is None:
                 raise ValueError("'dims' before 'nodes'")
+            if dims is not None:
+                raise ValueError("repeated 'dims' line")
             dims = [int(x) for x in parts[1:]]
         else:
             if num_nodes is None:
@@ -520,11 +548,8 @@ def _parse_group_file(lines, d) -> GroupSet:
         if ":" not in line:
             raise ValueError(f"malformed group line {line!r}")
         wpart, ipart = line.split(":", 1)
-        w = float(wpart)
-        if not w > 0:
-            raise ValueError(f"non-positive group weight {w}")
+        weights.append(float(wpart))
         groups.append([int(t) for t in ipart.split()])
-        weights.append(w)
     if not groups:
         raise ValueError("no groups found")
     return build_index_map(groups, weights=weights, d=d)

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, NoConvergence, NonFiniteInput
-from .graph import GroupSet
+from .graph import GroupSet, _check_vector
 
 __all__ = [
     "SumOperator",
@@ -89,18 +89,6 @@ def _check_lam(lam: float, name: str = "lam") -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {lam}")
 
 
-def _check_vector(v, length: int, name: str) -> np.ndarray:
-    """``v`` as a float array of shape ``(length,)`` with finite entries."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (length,):
-        raise DimensionMismatch(
-            f"{name} has shape {v.shape} (length {v.size}), expected ({length},)"
-        )
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteInput(f"{name} contains non-finite entries")
-    return v
-
-
 @dataclass
 class ProxInstance:
     """A prox evaluation problem: input point, penalty level, and groups."""
@@ -145,8 +133,8 @@ def group_soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     return (1.0 - t / nv) * v
 
 
-def _segment_norms(x: np.ndarray, group_set: GroupSet) -> np.ndarray:
-    """Per-group l2 norms of a stacked vector."""
+def _segment_norms(x: np.ndarray, group_set) -> np.ndarray:
+    """Per-group l2 norms of a stacked vector; of ``group_set`` only ``starts`` is read."""
     sq = np.add.reduceat(x * x, group_set.starts)
     return np.sqrt(sq)
 

@@ -25,12 +25,13 @@ import numpy as np
 
 from .diagnostics import ConvergenceTrace, TraceRecord
 from .errors import DimensionMismatch, InnerSolverWarning, NonFiniteInput
-from .graph import Dag, GroupSet, ancestor_groups, check_hierarchy_conformance
+from .graph import Dag, GroupSet, _check_vector, ancestor_groups, check_hierarchy_conformance
 from .kernels import (
     LatentPenaltyEvaluator,
     ProxInstance,
     SumOperator,
     _check_lam,
+    _segment_norms,
     nested_prox,
     penalty_value,
 )
@@ -78,16 +79,11 @@ class _DesignLoss:
     def _set_data(self, design, target, name: str) -> np.ndarray:
         """Check and keep the design; return the target as a float array."""
         self.design = np.asarray(design, dtype=float)
-        target = np.asarray(target, dtype=float)
         if self.design.ndim != 2:
             raise DimensionMismatch("design must be a 2-d matrix")
-        if target.shape != (self.design.shape[0],):
-            raise DimensionMismatch(
-                f"{name} length {target.shape} does not match "
-                f"{self.design.shape[0]} design rows"
-            )
-        if not (np.all(np.isfinite(self.design)) and np.all(np.isfinite(target))):
-            raise NonFiniteInput(f"design/{name} contain non-finite entries")
+        target = _check_vector(target, self.design.shape[0], name)
+        if not np.all(np.isfinite(self.design)):
+            raise NonFiniteInput("design contains non-finite entries")
         self._lipschitz: Optional[float] = None
         return target
 
@@ -188,22 +184,29 @@ def _resolve_groups(dag_or_groups) -> tuple[GroupSet, Optional[Dag]]:
     raise TypeError("expected a Dag or a GroupSet")
 
 
+def _gradient_at_zero(loss: SmoothLoss, d: int) -> np.ndarray:
+    """``grad L(0)``, checked: :class:`DimensionMismatch` unless the loss is over ``d``
+    variables and its gradient has shape ``(d,)``; :class:`NonFiniteInput` unless finite."""
+    loss_dim = getattr(loss, "dim", None)
+    if loss_dim is not None and loss_dim != d:
+        raise DimensionMismatch(f"loss is over {loss_dim} variables but the group system covers d={d}")
+    try:
+        g0 = loss.gradient(np.zeros(d))
+    except ValueError as exc:
+        raise DimensionMismatch(f"loss gradient rejected a length-{d} point: {exc}") from exc
+    return _check_vector(g0, d, "loss gradient at zero")
+
+
 def lambda_max(loss: SmoothLoss, dag_or_groups) -> float:
     """Smallest penalty level at which ``beta = 0`` is stationary.
 
-    ``max_g ||grad L(0)_g||_2 / w_g``: above this level every group's
-    zero certificate holds and a fit returns ``beta = 0``.
+    ``max_g ||grad L(0)_g||_2 / w_g``, the group norms of the stacked copy of
+    the gradient, which is checked as :func:`fit` checks it: above this level
+    every group's zero certificate holds and a fit returns ``beta = 0``.
     """
-    group_set, _ = _resolve_groups(dag_or_groups)
-    g0 = np.asarray(loss.gradient(np.zeros(group_set.d)), dtype=float)
-    if not np.all(np.isfinite(g0)):
-        raise NonFiniteInput("gradient at zero is non-finite")
-    return float(
-        max(
-            np.linalg.norm(g0[g]) / w
-            for g, w in zip(group_set.groups, group_set.weights)
-        )
-    )
+    gs, _ = _resolve_groups(dag_or_groups)
+    g0 = _gradient_at_zero(loss, gs.d)
+    return float(np.max(_segment_norms(g0[gs.stacked_coords], gs) / gs.weights))
 
 
 def fit(
@@ -262,19 +265,7 @@ def fit(
     op = SumOperator(group_set)
     d = group_set.d
 
-    loss_dim = getattr(loss, "dim", None)
-    if loss_dim is not None and loss_dim != d:
-        raise DimensionMismatch(
-            f"loss is over {loss_dim} variables but the group system covers d={d}"
-        )
-    try:
-        probe = np.asarray(loss.gradient(np.zeros(d)), dtype=float)
-    except ValueError as exc:
-        raise DimensionMismatch(f"loss gradient rejected a length-{d} point: {exc}") from exc
-    if probe.shape != (d,):
-        raise DimensionMismatch(
-            f"loss gradient has shape {probe.shape}, expected ({d},)"
-        )
+    probe = _gradient_at_zero(loss, d)
     lipschitz = loss.lipschitz_hint()
     if lipschitz is None or not 0 < lipschitz < math.inf:
         raise ValueError(f"loss gives no finite positive Lipschitz hint, got {lipschitz}")

@@ -44,7 +44,6 @@ feasibility residual ``||x1 - x2||`` to zero at a linear rate in practice.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -59,6 +58,7 @@ from .diagnostics import (
     proxgrad_norm,
 )
 from .errors import InvalidStep, NonFiniteIterate
+from .graph import _check_int
 from .kernels import (
     ProxInstance,
     _segment_norms,
@@ -98,15 +98,12 @@ DEAD_BOUND_MAX_AGE = 2**20
 
 def _check_loop_options(opts, tolerances: tuple[str, ...]) -> None:
     """Loop options: integer ``max_iter >= 1`` and ``trace_every >= 0``; tolerances ``>= 0``, not NaN."""
-    for name in ("max_iter", "trace_every"):
-        if not isinstance(getattr(opts, name), numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {getattr(opts, name)!r}")
-    if opts.max_iter < 1:
+    if _check_int(opts.max_iter, "max_iter") < 1:
         raise ValueError("max_iter must be positive")
     for name in tolerances:
         if not getattr(opts, name) >= 0:
             raise ValueError(f"{name} must be nonnegative, got {getattr(opts, name)}")
-    if opts.trace_every < 0:
+    if _check_int(opts.trace_every, "trace_every") < 0:
         raise ValueError("trace_every must be nonnegative")
 
 
@@ -217,8 +214,8 @@ class ProxResult:
         """Latent vectors as a dense d-by-|G| matrix, one column per group."""
         gs = self.group_set
         m = np.zeros((gs.d, gs.num_groups))
-        for j, ((lo, hi), g) in enumerate(zip(gs.index_ranges, gs.groups)):
-            m[g, j] = self.x[lo:hi]
+        # one entry per stacked copy: a group's coordinates are distinct
+        m[gs.stacked_coords, np.repeat(np.arange(gs.num_groups), gs.sizes)] = self.x
         return m
 
 
@@ -264,7 +261,8 @@ class _PackedGroups:
 
     ``idx`` are the entries' stacked positions and ``coords`` their ambient
     coordinates; the group ``groups[i]`` fills ``sizes[i]`` entries from
-    ``local[i]``.
+    ``starts[i]``, so :func:`~dagprox.kernels._segment_norms` reads a layout
+    as it reads a :class:`~dagprox.graph.GroupSet`.
     """
 
     def __init__(self, groups: np.ndarray, gs, thresholds: np.ndarray):
@@ -272,8 +270,8 @@ class _PackedGroups:
         self.member = np.zeros(gs.num_groups, dtype=bool)
         self.member[groups] = True
         self.sizes = gs.sizes[groups]
-        self.local = np.cumsum(self.sizes) - self.sizes
-        self.idx = np.repeat(gs.starts[groups] - self.local, self.sizes)
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.idx = np.repeat(gs.starts[groups] - self.starts, self.sizes)
         self.idx += np.arange(self.idx.size)
         self.coords = gs.stacked_coords[self.idx]
         self.thresholds = thresholds[groups]
@@ -444,10 +442,11 @@ def prox_log_admm_sharing(
         w = op.apply(state.y) / (rho * c_safe)
     dual_step = alpha / rho
     consensus_scale = rho + c_safe
-    # live: the groups whose latent is nonzero; bound: >= ||t_j|| on the
-    # others.  seed: the prox input of the last dense step, whose group norms
-    # set both on the next step; dead_before: the groups zero going into it.
-    live = bound = seed = t = None
+    # live: the groups whose latent may be nonzero (all of them when warm
+    # started); bound: >= ||t_j|| on the others.  seed: the prox input of the
+    # last dense step, whose group norms set both on the next step.
+    live = np.full(gs.num_groups, state is not None)
+    bound = seed = t = None
     # packed: the groups the lazy steps refresh; vals: their entries, newer
     # than x1's, or None when x1 holds them
     packed = vals = None
@@ -466,9 +465,10 @@ def prox_log_admm_sharing(
         if seed is not None:
             certified = thresholds * (1.0 - DEAD_BOUND_MARGIN)
             norms = _segment_norms(seed, gs)
-            live = norms > thresholds
-            bound = np.where(dead_before & ~live, norms, np.inf)
-            seed = None
+            now_live = norms > thresholds
+            # a group zero before and after has seed = t, so its norm is ||t_j||
+            bound = np.where(now_live | live, np.inf, norms)
+            live, seed = now_live, None
         refresh = None
         if k > 1 and k % DEAD_BOUND_MAX_AGE:
             dt = t - t_prev
@@ -480,7 +480,6 @@ def prox_log_admm_sharing(
             refresh = (~(bound <= certified)).nonzero()[0]
         if refresh is None or refresh.size == gs.num_groups:
             write_back()
-            dead_before = ~live if k > 1 else state is None
             seed = x1 + op.adjoint_apply(t)
             x1 = blockwise_soft_threshold(seed, thresholds, gs)
             mx1 = op.apply(x1)
@@ -493,7 +492,7 @@ def prox_log_admm_sharing(
             # ||t_j||, at most its threshold, so it stays zero
             vals_prev = x1[packed.idx] if vals is None else vals
             vals = vals_prev + t[packed.coords]
-            norms = np.sqrt(np.add.reduceat(vals * vals, packed.local))
+            norms = _segment_norms(vals, packed)
             factors, now_live = _shrink_factors(norms, packed.thresholds)
             vals *= np.repeat(factors, packed.sizes)
             # bincount of nothing would be an integer array

@@ -5,11 +5,12 @@ matrices are built directly from the group lists, reachability comes from
 boolean matrix squaring, and penalties are evaluated by direct summation
 or brute-force search.
 
-The textbook BCD, PGM and sharing loops and the warm-started fit are the
-exception: they call the library's operator, block soft-threshold, tracer
-and sharing solver, because they pin the solver and learner loops bit for
-bit.  They keep each loop in its plainest form, so that a loop that skips
-repeated work must still reproduce every value of it.
+The textbook BCD, PGM and sharing loops, the KKT residual and the
+warm-started fit are the exception: they call the library's operator,
+block soft-threshold, tracer and sharing solver, because they pin the
+solver, certificate and learner loops bit for bit or to rounding.  They
+keep each loop in its plainest form, so that a loop that skips repeated
+work must still reproduce every value of it.
 """
 
 import math
@@ -259,6 +260,32 @@ def prox_kkt_residuals(b, lam, group_set, theta, x) -> dict:
         "feasibility": feasibility,
         "subgradient": subgradient,
     }
+
+
+def textbook_kkt_residual(x1, x2, y, inst, rho=1.0):
+    """``kkt_residual`` with one Python pass over the groups for ``stationarity1``."""
+    op, gs = inst.operator, inst.group_set
+    stat2 = float(np.linalg.norm(op.adjoint_apply(op.apply(x2) - inst.b) + rho * (x2 - x1) - y))
+    dual_blocks = y + rho * (x1 - x2)
+    per_group = np.zeros(gs.num_groups)
+    for j, (lo, hi) in enumerate(gs.index_ranges):
+        t = inst.lam * gs.weights[j]
+        block = x1[lo:hi]
+        dual = dual_blocks[lo:hi]
+        norm_block = np.linalg.norm(block)
+        if norm_block > 0:
+            per_group[j] = np.linalg.norm(dual + t * block / norm_block)
+        else:
+            per_group[j] = max(0.0, np.linalg.norm(dual) - t)
+    return stat2, float(np.linalg.norm(per_group)), float(np.linalg.norm(x1 - x2))
+
+
+def textbook_latent_matrix(x, group_set):
+    """The d-by-|G| latent matrix, filled one group's column at a time."""
+    m = np.zeros((group_set.d, group_set.num_groups))
+    for j, ((lo, hi), g) in enumerate(zip(group_set.index_ranges, group_set.groups)):
+        m[g, j] = x[lo:hi]
+    return m
 
 
 def warm_started_fit(loss, group_set, lam, outer, inner_max_iter=20_000):

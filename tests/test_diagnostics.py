@@ -1,4 +1,5 @@
 import csv
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import pytest
 
 import dagprox as dp
 from dagprox.diagnostics import _ROW_FORMAT, TraceRecord
-from oracles import dense_m, geometric_trace
+from oracles import dense_m, geometric_trace, textbook_kkt_residual
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +127,39 @@ class TestKktResidual:
         n = random8_instance.n
         with pytest.raises(dp.DimensionMismatch):
             dp.kkt_residual(np.zeros(n), np.zeros(n), np.zeros(n - 1), random8_instance)
+
+    @pytest.mark.parametrize("which", ["x1", "x2", "y"])
+    def test_non_finite_block_rejected(self, random8_instance, which):
+        # unchecked, a NaN block would read as (nan, 0.0, nan)
+        blocks = {name: np.zeros(random8_instance.n) for name in ("x1", "x2", "y")}
+        blocks[which][2] = np.nan
+        with pytest.raises(dp.NonFiniteInput, match=f"^{which} contains non-finite entries"):
+            dp.kkt_residual(*blocks.values(), random8_instance)
+
+    def test_matches_the_group_loop(self, odd_group_sets):
+        rng = np.random.default_rng(19)
+        kinds = set()
+        for k in range(60):
+            gs = odd_group_sets[k % len(odd_group_sets)]
+            inst = dp.ProxInstance(
+                b=rng.standard_normal(gs.d), lam=rng.uniform(0.1, 2.0), group_set=gs
+            )
+            if k % 3 == 0:  # a solver's iterate: the prox zeroes some blocks
+                state = dp.prox_log_admm_sharing(
+                    inst, dp.SolveOptions(max_iter=int(rng.integers(1, 40)))
+                ).state
+                x1, x2, y = state.x1, state.x2, state.y
+            else:
+                zero = np.repeat(rng.random(gs.num_groups) < 0.4, gs.sizes)
+                x1 = np.where(zero, 0.0, rng.standard_normal(gs.n))
+                x2 = x1 + (k % 2) * 0.1 * rng.standard_normal(gs.n)
+                y = rng.standard_normal(gs.n)
+            kinds.update(dp.kernels._segment_norms(x1, gs) > 0)
+            got = dp.kkt_residual(x1, x2, y, inst, rho=1.5)
+            ref = textbook_kkt_residual(x1, x2, y, inst, rho=1.5)
+            for a, b in zip(got, ref):
+                assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
+        assert kinds == {False, True}  # both branches of the subdifferential ran
 
 
 class TestRateFit:
@@ -267,6 +301,13 @@ class TestTraceContainer:
         assert again.records == records
         assert again.iters.tolist() == iters
         assert [str(v) for r in again for v in r] == [str(v) for r in records for v in r]
+
+    def test_short_row_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("iter,wall_s,objective,primal_res,dual_res,proxgrad_norm\n"
+                        "1,0,1,0,0,0\n2,0,1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3 has 3 fields"):
+            dp.ConvergenceTrace.read_csv(path)
 
     def test_iterations_strictly_increasing(self):
         trace = dp.ConvergenceTrace()

@@ -45,6 +45,24 @@ class TestValidateDag:
         with pytest.raises(ValueError):
             dp.validate_dag(0, [])
 
+    @pytest.mark.parametrize(
+        "build, name",
+        [(lambda: dp.validate_dag(2.5, [(0, 1)]), "num_nodes"),
+         (lambda: dp.validate_dag(2, [(0, 1.7)]), "edge endpoint"),
+         (lambda: dp.validate_dag(2, [(0, 1)], node_dims=[1.5, 2]), "node_dims entry"),
+         (lambda: dp.build_index_map([[0.5, 1.9]]), "group coordinate"),
+         (lambda: dp.build_index_map([[0, 1]], d=2.5), "d"),
+         (lambda: dp.bench.BenchmarkSpec("two_layer", reps=2.5), "reps"),
+         (lambda: dp.bench.binary_tree(2.5), "depth"),
+         (lambda: dp.bench.two_layer(5.0), "d")],
+        ids=["num_nodes", "endpoint", "node_dims", "coordinate", "d", "reps",
+             "binary_tree", "two_layer"],
+    )
+    def test_non_integers_rejected(self, build, name):
+        # int() would truncate these, and range() would fail later with a bare TypeError
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            build()
+
     def test_bad_node_dims(self):
         with pytest.raises(dp.DimensionMismatch):
             dp.validate_dag(2, [(0, 1)], node_dims=[1])
@@ -322,8 +340,10 @@ class TestFileFormats:
         "text, error",
         [("nodes 2\n0 1\n1 0\n", dp.CycleDetected), ("nodes 2\n0 1\n0 1\n", dp.DuplicateEdge),
          ("nodes 2\n0 5\n", dp.IndexOutOfRange), ("nodes 2\ndims 1\n", dp.DimensionMismatch),
-         ("nodes 0\n", ValueError), ("nodes\n", ValueError), ("nodes 2\n0 1.5\n", ValueError)],
-        ids=["cycle", "duplicate", "out of range", "dims", "no nodes", "bare nodes", "float"],
+         ("nodes 0\n", ValueError), ("nodes\n", ValueError), ("nodes 2\n0 1.5\n", ValueError),
+         ("nodes 2\ndims 1 1\ndims 3 3\n", ValueError)],
+        ids=["cycle", "duplicate", "out of range", "dims", "no nodes", "bare nodes", "float",
+             "repeated dims"],
     )
     def test_edge_list_errors_keep_their_type_and_name_the_file(self, tmp_path, text, error):
         path = tmp_path / "g.txt"
@@ -349,9 +369,11 @@ class TestFileFormats:
         "text, error",
         [("-1.0: 0 1\n", ValueError), ("1.0: 0 x\n", ValueError), ("1.0:\n", dp.EmptyGroup),
          ("w: 0\n", ValueError), ("1.0 0 1\n", ValueError), ("# only a comment\n", ValueError),
-         ("1.0: -1\n", dp.IndexOutOfRange), ("1.0: 0 7\n", dp.IndexOutOfRange)],
+         ("1.0: -1\n", dp.IndexOutOfRange), ("1.0: 0 7\n", dp.IndexOutOfRange),
+         ("0: 0 1\n", ValueError), ("nan: 0 1\n", ValueError), ("inf: 0 1\n", ValueError)],
         ids=["negative weight", "non-integer index", "empty group", "non-numeric weight",
-             "no colon", "no groups", "negative index", "index beyond d"],
+             "no colon", "no groups", "negative index", "index beyond d", "zero weight",
+             "nan weight", "inf weight"],
     )
     def test_group_file_errors_keep_their_type_and_name_the_file(self, tmp_path, text, error):
         path = tmp_path / "groups.txt"

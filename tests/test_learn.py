@@ -95,6 +95,19 @@ class TestLambdaMax:
         gs = dp.build_index_map([list(range(4))], weights=[1.0], d=4)
         assert dp.lambda_max(loss, gs) == pytest.approx(np.linalg.norm(a.T @ y), rel=1e-12)
 
+    def test_loss_over_the_wrong_number_of_variables_rejected(self):
+        # 3 design columns against a 5-node chain: both entries probe the loss alike
+        loss = dp.LeastSquaresLoss(np.ones((4, 3)), np.ones(4))
+        for entry in (dp.lambda_max, lambda loss, dag: dp.fit(loss, dag, 0.1)):
+            with pytest.raises(dp.DimensionMismatch, match="loss is over 3 variables"):
+                entry(loss, chain_dag(5))
+
+    def test_non_finite_gradient_rejected(self):
+        loss = dp.LeastSquaresLoss(np.eye(3), np.ones(3))
+        loss.gradient = lambda beta: np.array([0.0, np.nan, 1.0])
+        with pytest.raises(dp.NonFiniteInput, match="^loss gradient at zero contains"):
+            dp.lambda_max(loss, chain_dag(3))
+
     def test_fit_above_lambda_max_returns_zero(self, small_problem):
         dag, loss = small_problem
         lam = 1.01 * dp.lambda_max(loss, dag)

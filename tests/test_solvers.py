@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 
 import dagprox as dp
 from dagprox.solvers import SOLVER_NAMES
-from oracles import textbook_bcd, textbook_pgm, textbook_sharing
+from oracles import textbook_bcd, textbook_latent_matrix, textbook_pgm, textbook_sharing
 
 # the dense reference is reached directly: it is not a dispatchable solver
 ADMM_SOLVERS = {"admm": dp.prox_log_admm_unscaled, "sharing": dp.prox_log_admm_sharing}
@@ -170,6 +171,15 @@ class TestIterateProperties:
             r1 = dp.prox_log_admm_sharing(dp.ProxInstance(b=b1, lam=0.5, group_set=gs), opts)
             r2 = dp.prox_log_admm_sharing(dp.ProxInstance(b=b2, lam=0.5, group_set=gs), opts)
             assert np.linalg.norm(r1.beta - r2.beta) <= np.linalg.norm(b1 - b2) + 2e-8
+
+    def test_latent_matrix_matches_the_group_loop(self, odd_group_sets):
+        rng = np.random.default_rng(23)
+        for gs in odd_group_sets:
+            inst = dp.ProxInstance(b=rng.standard_normal(gs.d), lam=0.3, group_set=gs)
+            res = dp.prox_log_bcd(inst)
+            for x in (res.x, rng.standard_normal(gs.n)):
+                got = dataclasses.replace(res, x=x).latent_matrix()
+                assert np.array_equal(got, textbook_latent_matrix(x, gs))
 
     def test_beta_equals_latent_sum_and_objective_consistent(self, small_instance):
         res = dp.prox_log_admm_sharing(small_instance)
@@ -565,9 +575,10 @@ class TestTextbookSharing:
         # group {0}, threshold 1: t = 21, 1.5, -0.5, -1.375 on steps 1-4 and
         # x1 = 0, 0.5, 0, nonzero.  Step 3 zeroes it with ||x1 + t|| = 0 while
         # ||t|| = 0.5, and |t_4 - t_3| = 0.875: only the norm of t itself may
-        # seed a certificate.  Group {1} stays far below its threshold of
-        # 100, so steps 3 and 4 refresh group {0} alone.
-        gs = dp.build_index_map([[0], [1]], weights=[1.0, 100.0], d=2)
+        # seed a certificate.  Group {1} (t = 0, threshold 2.5) stays zero,
+        # but its bound grows by 2 on step 3 and crosses on step 4, so step 4
+        # needs a new layout: one without group {0} would skip its revival.
+        gs = dp.build_index_map([[0], [1]], weights=[1.0, 2.5], d=2)
         inst = dp.ProxInstance(b=np.array([-5.0, 0.0]), lam=1.0, group_set=gs)
         state = dp.SolverState(x1=None, x2=np.array([-21.0, 0.0]), y=np.array([-21.0, 0.0]))
         opts = dp.SolveOptions(trace_every=1)
