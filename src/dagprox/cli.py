@@ -192,10 +192,8 @@ def cmd_fit(loss_name, design, response, graph_path, groups_path, lam, lambda_fr
     """Fit a smooth loss with the LOG penalty; writes a plain-text model file."""
     if (lam is None) == (lambda_frac is None):
         raise click.UsageError("exactly one of --lambda or --lambda-frac is required")
-    logistic = loss_name == "logistic"
-    a = load_design_matrix(design)
-    y = load_response(response, logistic=logistic)
-    loss = LogisticLoss(a, y) if logistic else LeastSquaresLoss(a, y)
+    loss_type = LogisticLoss if loss_name == "logistic" else LeastSquaresLoss
+    loss = loss_type(load_design_matrix(design), load_response(response))
     group_set, dag = _load_groups(graph_path, groups_path, d_hint=loss.dim)
     if group_set.d != loss.dim:
         raise click.UsageError(

@@ -11,7 +11,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .errors import InsufficientData
-from .graph import _check_vector
+from .graph import _check_vector, _parse_file
 from .kernels import ProxInstance, _segment_norms, blockwise_soft_threshold, objective_and_residual
 
 __all__ = [
@@ -114,17 +114,24 @@ class ConvergenceTrace:
 
     @classmethod
     def read_csv(cls, path) -> "ConvergenceTrace":
+        """Read a :meth:`write_csv` file; every error names ``path`` and the line."""
+        return _parse_file(path, cls._parse_csv)
+
+    @classmethod
+    def _parse_csv(cls, lines) -> "ConvergenceTrace":
+        reader = csv.reader(lines)
+        header = next(reader, None)
+        if header != TRACE_HEADER:
+            raise ValueError(f"line 1: expected the trace header, got {header or 'nothing'}")
         trace = cls()
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != TRACE_HEADER:
-                raise ValueError(f"{path}: unexpected trace header {header}")
-            for row in reader:
-                if len(row) != len(TRACE_HEADER):
-                    raise ValueError(f"{path}: line {reader.line_num} has {len(row)} fields, "
-                                     f"expected {len(TRACE_HEADER)}")
-                trace.append(TraceRecord(int(row[0]), *(float(v) for v in row[1:])))
+        for row in reader:
+            if len(row) != len(TRACE_HEADER):
+                raise ValueError(f"line {reader.line_num} has {len(row)} fields, "
+                                 f"expected {len(TRACE_HEADER)}")
+            try:
+                trace.append(TraceRecord(int(row[0]), *map(float, row[1:])))
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
         return trace
 
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import operator
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
@@ -81,12 +80,15 @@ class Dag:
         Variables per node; the ambient dimension is ``d = sum(node_dims)``.
     topo_order : tuple of int
         A cached topological order of the nodes.
+    parent_lists : tuple of tuple of int
+        The parents of every node, in edge order; read through :meth:`parents`.
     """
 
     num_nodes: int
     edges: tuple[tuple[int, int], ...]
     node_dims: tuple[int, ...]
     topo_order: tuple[int, ...]
+    parent_lists: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
     @property
     def d(self) -> int:
@@ -94,25 +96,19 @@ class Dag:
         return sum(self.node_dims)
 
     @cached_property
-    def node_offsets(self) -> tuple[int, ...]:
-        """Start coordinate of each node's variable block."""
-        offs = np.concatenate([[0], np.cumsum(self.node_dims)])
-        return tuple(int(o) for o in offs[:-1])
+    def node_offsets(self) -> np.ndarray:
+        """Start coordinate of each node's variable block, as an ``intp`` array."""
+        dims = np.array(self.node_dims, dtype=np.intp)
+        return np.cumsum(dims) - dims
 
     def node_coords(self, node: int) -> range:
         """Coordinate indices occupied by ``node``."""
         start = self.node_offsets[node]
         return range(start, start + self.node_dims[node])
 
-    @cached_property
-    def _parents(self) -> tuple[tuple[int, ...], ...]:
-        ps: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for u, v in self.edges:
-            ps[v].append(u)
-        return tuple(tuple(p) for p in ps)
-
     def parents(self, node: int) -> tuple[int, ...]:
-        return self._parents[node]
+        """Immediate parents of ``node``, in edge order."""
+        return self.parent_lists[node]
 
 
 def validate_dag(num_nodes, edges, node_dims=None) -> Dag:
@@ -144,8 +140,7 @@ def validate_dag(num_nodes, edges, node_dims=None) -> Dag:
     if num_nodes < 1:
         raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
 
-    edge_list: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    ordered_edges: dict[tuple[int, int], None] = {}  # a set that keeps insertion order
     for e in edges:
         try:
             u, v = operator.index(e[0]), operator.index(e[1])
@@ -155,10 +150,9 @@ def validate_dag(num_nodes, edges, node_dims=None) -> Dag:
             raise IndexOutOfRange(
                 f"edge ({u}, {v}) has an endpoint outside [0, {num_nodes})"
             )
-        if (u, v) in seen:
+        if (u, v) in ordered_edges:
             raise DuplicateEdge(f"edge ({u}, {v}) appears more than once")
-        seen.add((u, v))
-        edge_list.append((u, v))
+        ordered_edges[u, v] = None
 
     if node_dims is None:
         dims = (1,) * num_nodes
@@ -172,60 +166,58 @@ def validate_dag(num_nodes, edges, node_dims=None) -> Dag:
             raise DimensionMismatch("node_dims entries must be positive")
 
     # Kahn's algorithm; a leftover node means a cycle (self-loops included).
-    indeg = [0] * num_nodes
     succ: list[list[int]] = [[] for _ in range(num_nodes)]
-    for u, v in edge_list:
-        indeg[v] += 1
+    preds: list[list[int]] = [[] for _ in range(num_nodes)]
+    for u, v in ordered_edges:
         succ[u].append(v)
-    queue = deque(i for i in range(num_nodes) if indeg[i] == 0)
-    order: list[int] = []
-    while queue:
-        u = queue.popleft()
-        order.append(u)
+        preds[v].append(u)
+    indeg = [len(p) for p in preds]
+    order = [i for i in range(num_nodes) if indeg[i] == 0]
+    for u in order:  # the order grows while it is read: it is the FIFO queue
         for v in succ[u]:
             indeg[v] -= 1
             if indeg[v] == 0:
-                queue.append(v)
+                order.append(v)
     if len(order) != num_nodes:
         raise CycleDetected("edge set contains a directed cycle")
 
     return Dag(
         num_nodes=num_nodes,
-        edges=tuple(edge_list),
+        edges=tuple(ordered_edges),
         node_dims=dims,
         topo_order=tuple(order),
+        parent_lists=tuple(map(tuple, preds)),
     )
 
 
 @dataclass(frozen=True)
 class GroupSet:
-    """Ordered coordinate groups with weights and stacked index ranges.
+    """Ordered coordinate groups with weights, stored as one stacked index array.
 
     The ``g``-th group occupies the contiguous half-open range
     ``index_ranges[g]`` of the stacked latent vector of length
-    ``n = sum(len(g) for g in groups)``.  Ranges are assigned in listing
-    order, so they partition ``[0, n)`` exactly.
+    ``n = sum(sizes)``; ``stacked_coords`` holds the ambient coordinate of
+    every stacked entry, the groups one after another in listing order, so
+    the ranges partition ``[0, n)`` exactly.  Each group is sorted and
+    distinct; ``groups`` gives them as views of ``stacked_coords``.
 
     Construct instances through :func:`build_index_map` (or the group
     builders in this module), which validate the invariants.
     """
 
-    groups: tuple[np.ndarray, ...]
+    stacked_coords: np.ndarray
+    sizes: np.ndarray
     weights: np.ndarray
     d: int
 
-    @cached_property
+    @property
     def n(self) -> int:
         """Stacked dimension, sum of group sizes."""
-        return int(self.sizes.sum())
+        return self.stacked_coords.size
 
     @property
     def num_groups(self) -> int:
-        return len(self.groups)
-
-    @cached_property
-    def sizes(self) -> np.ndarray:
-        return np.array([len(g) for g in self.groups], dtype=np.intp)
+        return self.sizes.size
 
     @cached_property
     def sqrt_sizes(self) -> np.ndarray:
@@ -243,9 +235,9 @@ class GroupSet:
         return tuple(zip(self.starts.tolist(), (self.starts + self.sizes).tolist()))
 
     @cached_property
-    def stacked_coords(self) -> np.ndarray:
-        """Ambient coordinate of every stacked entry (length ``n``)."""
-        return np.concatenate(self.groups).astype(np.intp, copy=False)
+    def groups(self) -> tuple[np.ndarray, ...]:
+        """Every group's coordinates, as a view of ``stacked_coords``."""
+        return tuple(self.stacked_coords[lo:hi] for lo, hi in self.index_ranges)
 
     @cached_property
     def cover_counts(self) -> np.ndarray:
@@ -266,8 +258,6 @@ class GroupSet:
         is ``m`` minus that first rank.  Computed on first use, in O(n).
         """
         m = self.num_groups
-        if m == 0:
-            return None
         order = np.argsort(self.sizes, kind="stable")
         rank = np.empty(m, dtype=np.intp)
         rank[order] = np.arange(m)
@@ -288,7 +278,7 @@ class GroupSet:
     def canonical_text(self) -> str:
         """Serialized group-file form; stable input for content hashing."""
         lines = [
-            f"{w:.17g}: " + " ".join(str(int(i)) for i in g)
+            f"{w:.17g}: " + " ".join(map(str, g.tolist()))
             for g, w in zip(self.groups, self.weights)
         ]
         return "\n".join(lines) + "\n"
@@ -315,7 +305,8 @@ def build_index_map(groups, weights=None, d=None) -> GroupSet:
     EmptyGroup
         Some group has no coordinates.
     ValueError
-        A coordinate or ``d`` is not an integer, or a weight is not positive and finite.
+        There is no group, a coordinate or ``d`` is not an integer, or a
+        weight is not positive and finite.
     IndexOutOfRange
         A coordinate falls outside ``[0, d)``.
     """
@@ -331,28 +322,31 @@ def build_index_map(groups, weights=None, d=None) -> GroupSet:
         if a[0] < 0:
             raise IndexOutOfRange(f"negative coordinate {a[0]} in group")
         arrs.append(a)
+    if not arrs:
+        raise ValueError("a group system needs at least one group")
     if d is None:
         d = int(max(a[-1] for a in arrs)) + 1
     d = _check_int(d, "d")
     for a in arrs:
         if a[-1] >= d:
             raise IndexOutOfRange(f"coordinate {a[-1]} outside [0, {d})")
-    return _index_map(arrs, weights, d)
+    sizes = np.array([a.size for a in arrs], dtype=np.intp)
+    return _index_map(np.concatenate(arrs), sizes, weights, d)
 
 
-def _index_map(arrs, weights, d: int) -> GroupSet:
-    """:func:`build_index_map` of sorted, distinct coordinate arrays inside ``[0, d)``."""
+def _index_map(coords: np.ndarray, sizes: np.ndarray, weights, d: int) -> GroupSet:
+    """:func:`build_index_map` of stacked groups, each sorted, distinct and inside ``[0, d)``."""
     if weights is None:
-        w = np.sqrt(np.array([a.size for a in arrs], dtype=float))
+        w = np.sqrt(sizes.astype(float))
     else:
         w = np.asarray(weights, dtype=float)
-        if w.shape != (len(arrs),):
+        if w.shape != sizes.shape:
             raise DimensionMismatch(
-                f"got {w.size} weights for {len(arrs)} groups"
+                f"got {w.size} weights for {sizes.size} groups"
             )
         if np.any(w <= 0) or not np.all(np.isfinite(w)):
             raise ValueError("group weights must be positive and finite")
-    return GroupSet(groups=tuple(arrs), weights=w, d=d)
+    return GroupSet(stacked_coords=coords, sizes=sizes, weights=w, d=d)
 
 
 def _ancestor_sets(dag: Dag) -> list[set[int]]:
@@ -379,13 +373,11 @@ def ancestor_groups(dag: Dag, weights=None) -> GroupSet:
     # every group concatenates its nodes' coordinate ranges; one pass builds
     # all of them: the run of node i counts up from node_offsets[i]
     run_ends = np.cumsum(lens)
-    shift = np.array(dag.node_offsets, dtype=np.intp)[nodes] - (run_ends - lens)
+    shift = dag.node_offsets[nodes] - (run_ends - lens)
     coords = np.repeat(shift, lens) + np.arange(run_ends[-1])
-    group_ends = run_ends[np.cumsum([len(s) for s in sets]) - 1].tolist()
-    # sorted, distinct and inside [0, d) by construction; plain slices, since
-    # np.split pays a swapaxes call per group
-    groups = [coords[lo:hi] for lo, hi in zip([0] + group_ends[:-1], group_ends)]
-    return _index_map(groups, weights, dag.d)
+    # each group is sorted, distinct and inside [0, d) by construction
+    group_ends = run_ends[np.cumsum([len(s) for s in sets]) - 1]
+    return _index_map(coords, np.diff(group_ends, prepend=0), weights, dag.d)
 
 
 @dataclass(frozen=True)
@@ -437,7 +429,7 @@ def check_hierarchy_conformance(
         raise ValueError(f"mode must be 'strong' or 'weak', got {mode!r}")
 
     # every node has at least one coordinate, so no segment is empty
-    peaks = np.maximum.reduceat(np.abs(beta), np.array(dag.node_offsets, dtype=np.intp))
+    peaks = np.maximum.reduceat(np.abs(beta), dag.node_offsets)
     nz = np.flatnonzero(peaks > threshold).tolist()
     nz_set = set(nz)
     violations: list[HierarchyViolation] = []
@@ -476,11 +468,14 @@ def read_edge_list(path) -> Dag:
     return _parse_file(path, _parse_edge_list)
 
 
-def _parse_file(path, parse, *args):
-    """``parse(lines, *args)`` over the text of ``path``, naming ``path`` in every error."""
-    with open(path, "r", encoding="utf-8") as fh:
+def _parse_file(path, parse, *args, **kwargs):
+    """``parse(lines, *args, **kwargs)`` over ``path``, naming ``path`` in every error.
+
+    The lines keep their endings (``newline=""``, as :mod:`csv` requires).
+    """
+    with open(path, "r", newline="", encoding="utf-8") as fh:
         try:
-            return parse(fh, *args)
+            return parse(fh, *args, **kwargs)
         except DagproxError as exc:
             raise type(exc)(f"{path}: {exc}") from exc
         except ValueError as exc:  # also a file that is not UTF-8
@@ -550,8 +545,6 @@ def _parse_group_file(lines, d) -> GroupSet:
         wpart, ipart = line.split(":", 1)
         weights.append(float(wpart))
         groups.append([int(t) for t in ipart.split()])
-    if not groups:
-        raise ValueError("no groups found")
     return build_index_map(groups, weights=weights, d=d)
 
 

@@ -382,6 +382,6 @@ def operator_norm_sq(operator: SumOperator) -> float:
     """``||M||_2^2`` in closed form: the largest cover count.
 
     ``M M^T = diag(c)`` with ``c`` the cover counts, and ``M^T M`` has the
-    same nonzero eigenvalues, so ``||M||_2^2 = max(c)`` (0 with no groups).
+    same nonzero eigenvalues, so ``||M||_2^2 = max(c)``.
     """
-    return float(operator.cover_counts.max(initial=0))
+    return float(operator.cover_counts.max())

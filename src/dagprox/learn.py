@@ -25,7 +25,7 @@ import numpy as np
 
 from .diagnostics import ConvergenceTrace, TraceRecord
 from .errors import DimensionMismatch, InnerSolverWarning, NonFiniteInput
-from .graph import Dag, GroupSet, _check_vector, ancestor_groups, check_hierarchy_conformance
+from .graph import Dag, GroupSet, _check_vector, _parse_file, ancestor_groups, check_hierarchy_conformance
 from .kernels import (
     LatentPenaltyEvaluator,
     ProxInstance,
@@ -366,17 +366,16 @@ def fit(
 
 
 def load_design_matrix(path) -> np.ndarray:
-    """Headerless CSV, one sample per row."""
-    a = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
-    return a
+    """Headerless CSV, one sample per row; every error names ``path``."""
+    return _parse_file(path, np.loadtxt, delimiter=",", ndmin=2)
 
 
-def load_response(path, logistic: bool = False) -> np.ndarray:
-    """One-column response file; logistic labels must be -1/+1."""
-    y = np.loadtxt(path, delimiter=",", dtype=float).reshape(-1)
-    if logistic and not np.all(np.isin(y, (-1.0, 1.0))):
-        raise ValueError(f"{path}: logistic labels must be -1 or +1")
-    return y
+def load_response(path) -> np.ndarray:
+    """One-column response file; every error names ``path``.  The loss checks the values."""
+    y = load_design_matrix(path)
+    if y.shape[1] != 1:
+        raise ValueError(f"{path}: response has {y.shape[1]} columns, expected 1")
+    return y[:, 0]
 
 
 def save_model(path, beta, lam, loss_type, group_set: GroupSet) -> None:

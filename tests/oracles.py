@@ -56,6 +56,11 @@ def closure_sets(num_nodes, edges) -> list[set[int]]:
     return [set(np.flatnonzero(reach[i]).tolist()) for i in range(num_nodes)]
 
 
+def edge_scan_parents(num_nodes, edges) -> list[tuple[int, ...]]:
+    """Every node's parents, in edge order, by one scan of the edge list per node."""
+    return [tuple(u for u, v in edges if v == i) for i in range(num_nodes)]
+
+
 def textbook_hierarchy(dag, beta, threshold, mode):
     """``(nonzero_nodes, [(child, parents), ...])`` by a scan over each node's coordinates."""
     nonzero = [

@@ -384,6 +384,22 @@ def test_graph_file_errors_name_the_file(runner, tmp_path, text):
     assert f"{graph}: " in result.output
 
 
+@pytest.mark.parametrize("command", ["prox", "fit"])
+def test_response_with_two_columns_names_the_file(runner, tmp_path, fig1b_graph, command):
+    # four values in two columns used to load as a length-4 vector
+    column = tmp_path / "two_columns.csv"
+    column.write_text("1,1\n1,1\n")
+    np.savetxt(tmp_path / "a.csv", np.eye(2, 4), delimiter=",", fmt="%.17g")
+    args = {
+        "prox": ["prox", "--b-file", str(column), "--lambda", "0.5"],
+        "fit": FIT + ["--design", str(tmp_path / "a.csv"), "--response", str(column),
+                      "--lambda", "0.5", "--out", str(tmp_path / "model.txt")],
+    }[command]
+    result = runner.invoke(main, args + ["--graph", str(fig1b_graph)])
+    assert result.exit_code == 2, result.output
+    assert f"{column}: response has 2 columns, expected 1" in result.output
+
+
 @pytest.mark.parametrize(
     "text",
     [b"1.0: 0 x\n", b"1.0:\n", b"w: 0\n", b"1.0: 0 5\n", b"1.0: 0\n\xff\xfe\n"],

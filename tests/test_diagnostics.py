@@ -302,6 +302,20 @@ class TestTraceContainer:
         assert again.iters.tolist() == iters
         assert [str(v) for r in again for v in r] == [str(v) for r in records for v in r]
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "line 1: expected the trace header, got nothing$"),
+         ("1,0,1,0,0,0\n2,0,x,0,0,0\n", "line 3: could not convert string to float: 'x'"),
+         ("1,0,1,0,0,0\n2,0,inf,0,0,0\n", "line 3: non-finite trace record at iter 2")],
+        ids=["empty", "non-numeric", "non-finite"],
+    )
+    def test_bad_field_names_the_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "trace.csv"
+        header = "iter,wall_s,objective,primal_res,dual_res,proxgrad_norm\n"
+        path.write_text(header + text if text else "")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            dp.ConvergenceTrace.read_csv(path)
+
     def test_short_row_names_the_file_and_line(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("iter,wall_s,objective,primal_res,dual_res,proxgrad_norm\n"

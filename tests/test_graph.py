@@ -1,10 +1,11 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import dagprox as dp
-from oracles import closure_sets, textbook_hierarchy
+from oracles import closure_sets, edge_scan_parents, textbook_hierarchy
 
 
 @pytest.fixture
@@ -69,6 +70,44 @@ class TestValidateDag:
         with pytest.raises(dp.DimensionMismatch):
             dp.validate_dag(2, [(0, 1)], node_dims=[1, 0])
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_parents_match_edge_scan_oracle(self, seed):
+        # the edges come in a shuffled order, which the parent lists must keep
+        base = dp.bench.random_dag(30, edge_prob=0.25, seed=seed)
+        perm = np.random.default_rng(seed).permutation(len(base.edges))
+        edges = [base.edges[k] for k in perm]
+        dag = dp.validate_dag(30, edges)
+        assert [dag.parents(i) for i in range(30)] == edge_scan_parents(30, edges)
+
+    def test_node_offsets(self):
+        dag = dp.validate_dag(3, [(0, 1)], node_dims=[2, 3, 1])
+        assert dag.node_offsets.tolist() == [0, 2, 5]
+        assert [dag.node_coords(i) for i in range(3)] == [range(0, 2), range(2, 5), range(5, 6)]
+
+
+#: sha256 of the canonical text of ancestor group systems, recorded while
+#: GroupSet still kept one array per group: the stacked storage keeps the bytes
+GOLDEN_HASHES = {
+    "binary_tree13": "0e7b45bd08166fb1b24be5c8c175d2a3fe5b5bb1f7a5d0823c2d67efe77bc23d",
+    "chain1500": "75751420f29b25f34c82f02d2ad37e7a8d352a57600f93d2800826576a80a0b7",
+    "random0": "d6f352f33da72ed05f64a938c91df05d09414d2f3da9fbfdcedd441e87297da7",
+    "random1": "b7f0068aca65e5b87e1e338090b440c644e977abc5507bb69a83b6bd468f683c",
+    "random2": "9a46827b86c754ce82965227caae401d01236b3a1a63b8ba56dd8dfe5bc82bfb",
+    "random3": "009e745cc826e8a29cf0f1840e8ec53dab5e0bf31f71f2b01a11605422256101",
+}
+
+
+def _golden_group_set(name):
+    if name == "binary_tree13":
+        return dp.ancestor_groups(dp.bench.binary_tree(13))
+    if name == "chain1500":
+        return dp.ancestor_groups(dp.validate_dag(1500, [(i, i + 1) for i in range(1499)]))
+    # 40 nodes with 1 to 4 variables each
+    seed = int(name.removeprefix("random"))
+    base = dp.bench.random_dag(40, edge_prob=0.2, seed=seed)
+    dims = np.random.default_rng(seed).integers(1, 5, 40)
+    return dp.ancestor_groups(dp.validate_dag(40, base.edges, dims))
+
 
 class TestGroups:
     def test_ancestor_groups_fig1b(self, fig1b):
@@ -129,6 +168,31 @@ class TestGroups:
         assert [list(g) for g in gs.groups] == [[0, 1], [0, 1, 2]]
         assert dag.d == 3
 
+    def test_groups_are_views_of_the_stacked_coords(self, fig1b):
+        for gs in (dp.ancestor_groups(fig1b), dp.build_index_map([[0], [2, 1], [0, 1]])):
+            assert all(np.shares_memory(g, gs.stacked_coords) for g in gs.groups)
+            assert np.array_equal(np.concatenate(gs.groups), gs.stacked_coords)
+
+    def test_retained_memory_is_linear_in_stacked_size(self):
+        # the stacked coordinates plus a few length-m arrays; no per-group objects
+        dag = dp.bench.binary_tree(10)
+        tracemalloc.start()
+        try:
+            gs = dp.ancestor_groups(dag)
+            op = dp.SumOperator(gs)
+            gs.starts, op.cover_counts
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (gs.n, gs.num_groups) == (9217, 1023)
+        assert held <= 2 * (gs.n + gs.num_groups) * 8, held
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_HASHES))
+    def test_content_hash_is_pinned(self, name):
+        gs = _golden_group_set(name)
+        assert gs.content_hash() == GOLDEN_HASHES[name]
+        assert dp.build_index_map(gs.groups, gs.weights, gs.d).canonical_text() == gs.canonical_text()
+
 
 class TestIndexMap:
     def test_three_overlapping_groups(self):
@@ -150,6 +214,10 @@ class TestIndexMap:
     def test_empty_group_rejected(self):
         with pytest.raises(dp.EmptyGroup):
             dp.build_index_map([[0], []])
+        with pytest.raises(ValueError, match="^a group system needs at least one group$"):
+            dp.build_index_map([], d=3)
+        with pytest.raises(ValueError, match="^a group system needs at least one group$"):
+            dp.build_index_map([])
 
     def test_out_of_range_coordinate(self):
         with pytest.raises(dp.IndexOutOfRange):

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -365,12 +366,27 @@ class TestDataAndModelFiles:
         np.savetxt(tmp_path / "a.csv", a, delimiter=",", fmt="%.17g")
         np.savetxt(tmp_path / "y.csv", y, delimiter=",", fmt="%.17g")
         assert np.allclose(dp.learn.load_design_matrix(tmp_path / "a.csv"), a)
-        assert np.allclose(dp.learn.load_response(tmp_path / "y.csv", logistic=True), y)
+        assert np.allclose(dp.learn.load_response(tmp_path / "y.csv"), y)
 
     def test_logistic_labels_validated_on_load(self, tmp_path):
         np.savetxt(tmp_path / "y.csv", np.array([0.0, 1.0]), delimiter=",")
-        with pytest.raises(ValueError):
-            dp.learn.load_response(tmp_path / "y.csv", logistic=True)
+        y = dp.learn.load_response(tmp_path / "y.csv")
+        with pytest.raises(ValueError, match=r"-1 or \+1"):
+            dp.LogisticLoss(np.eye(2), y)
+
+    @pytest.mark.parametrize("text", ["1,2\n3,4\n", "1,2,3,4\n"], ids=["two rows", "one row"])
+    def test_response_with_several_columns_rejected(self, tmp_path, text):
+        path = tmp_path / "y.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: response has [24] columns"):
+            dp.learn.load_response(path)
+
+    @pytest.mark.parametrize("load", [dp.learn.load_design_matrix, dp.learn.load_response])
+    def test_data_file_errors_name_the_file(self, tmp_path, load):
+        path = tmp_path / "data.csv"
+        path.write_text("1\nx\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: could not convert"):
+            load(path)
 
     def test_model_file_round_trip(self, tmp_path):
         gs = dp.build_index_map([[0], [0, 1]], d=2)
