@@ -56,7 +56,7 @@ def binary_tree(depth: int) -> Dag:
     if _check_int(depth, "depth") < 1:
         raise ValueError("binary_tree needs depth >= 1")
     n = 2**depth - 1
-    edges = [(p, c) for p in range(n) for c in (2 * p + 1, 2 * p + 2) if c < n]
+    edges = [((c - 1) // 2, c) for c in range(1, n)]
     return validate_dag(n, edges)
 
 

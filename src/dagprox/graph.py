@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import hashlib
 import operator
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -90,7 +91,7 @@ class Dag:
     topo_order: tuple[int, ...]
     parent_lists: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
-    @property
+    @cached_property
     def d(self) -> int:
         """Total number of variables."""
         return sum(self.node_dims)
@@ -349,35 +350,61 @@ def _index_map(coords: np.ndarray, sizes: np.ndarray, weights, d: int) -> GroupS
     return GroupSet(stacked_coords=coords, sizes=sizes, weights=w, d=d)
 
 
-def _ancestor_sets(dag: Dag) -> list[set[int]]:
-    """Reflexive ancestor sets, one per node."""
-    sets: list[set[int]] = [set() for _ in range(dag.num_nodes)]
-    for i in dag.topo_order:
-        s = {i}
-        for j in dag.parents(i):
-            s |= sets[j]
-        sets[i] = s
-    return sets
-
-
 def ancestor_groups(dag: Dag, weights=None) -> GroupSet:
     """One group per node: the node plus all its ancestors, in node order.
 
-    Node-index sets are expanded to coordinate indices through the node
-    dimensions.  Default weights are ``sqrt(|g|)`` with ``|g|`` counted in
-    coordinates; pass ``weights`` to override.
+    Groups are built in topological order, each a sorted ``array('q')`` of
+    node ids made from its parents' groups; arrays, unlike lists, are not
+    tracked by the garbage collector while the build runs.  A node with one
+    parent inserts its id into a copy of the parent's group, at the end
+    when the ids are topological.  A node with several parents takes the
+    C-level union of their ancestor sets, each built once.  The parents are
+    visited largest group first, so one already in the union, an ancestor
+    of another parent, is skipped.
+
+    The groups are flattened once.  Node ids sort like their coordinate
+    runs, so with one variable per node the ids are the coordinates;
+    otherwise one vectorised pass expands each node to its run.  Default
+    weights are ``sqrt(|g|)`` with ``|g|`` counted in coordinates; pass
+    ``weights`` to override.
     """
-    sets = _ancestor_sets(dag)
-    nodes = np.fromiter(chain.from_iterable(map(sorted, sets)), dtype=np.intp)
-    lens = np.array(dag.node_dims, dtype=np.intp)[nodes]
-    # every group concatenates its nodes' coordinate ranges; one pass builds
-    # all of them: the run of node i counts up from node_offsets[i]
-    run_ends = np.cumsum(lens)
-    shift = dag.node_offsets[nodes] - (run_ends - lens)
-    coords = np.repeat(shift, lens) + np.arange(run_ends[-1])
+    ids = array("q", range(dag.num_nodes))
+    parent_lists = dag.parent_lists
+    groups: list[array] = [ids] * dag.num_nodes  # every entry is replaced
+    sizes = [0] * dag.num_nodes
+    node_sets: dict[int, set[int]] = {}  # kept only where several parents meet
+    for i in dag.topo_order:
+        ps = parent_lists[i]
+        if len(ps) == 1:
+            g = groups[ps[0]]
+            k = bisect_left(g, i)
+            g = g + ids[i:i + 1] if k == len(g) else g[:k] + ids[i:i + 1] + g[k:]
+        elif ps:
+            s = set()  # empty, so the first union takes CPython's copying fast path
+            for p in sorted(ps, key=sizes.__getitem__, reverse=True):
+                if p not in s:
+                    sp = node_sets.get(p)
+                    if sp is None:
+                        sp = node_sets[p] = set(groups[p])
+                    s |= sp
+            s.add(i)
+            node_sets[i] = s
+            g = array("q", sorted(s))
+        else:
+            g = ids[i:i + 1]
+        groups[i] = g
+        sizes[i] = len(g)
+    flat = reduce(operator.iadd, groups, array("q"))
+    nodes = np.frombuffer(flat, dtype=np.int64).astype(np.intp, copy=False)
+    sizes = np.array(sizes, dtype=np.intp)
     # each group is sorted, distinct and inside [0, d) by construction
-    group_ends = run_ends[np.cumsum([len(s) for s in sets]) - 1]
-    return _index_map(coords, np.diff(group_ends, prepend=0), weights, dag.d)
+    if dag.d == dag.num_nodes:
+        return _index_map(nodes, sizes, weights, dag.d)
+    # the run of node j counts up from node_offsets[j]
+    lens = np.array(dag.node_dims, dtype=np.intp)[nodes]
+    coords = np.repeat(dag.node_offsets[nodes] - (np.cumsum(lens) - lens), lens)
+    coords += np.arange(coords.size)
+    return _index_map(coords, np.add.reduceat(lens, np.cumsum(sizes) - sizes), weights, dag.d)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Protocol, runtime_checkable
 
 import numpy as np
@@ -366,8 +367,22 @@ def fit(
 
 
 def load_design_matrix(path) -> np.ndarray:
-    """Headerless CSV, one sample per row; every error names ``path``."""
-    return _parse_file(path, np.loadtxt, delimiter=",", ndmin=2)
+    """Headerless CSV, one sample per row; every error names ``path``.
+
+    A file with no data line, empty or only comments, is a ``ValueError``.
+    """
+    return _parse_file(path, _load_csv)
+
+
+def _load_csv(lines) -> np.ndarray:
+    """``np.loadtxt`` of ``lines``, once some line holds more than a comment."""
+    lines = iter(lines)
+    head = []
+    for line in lines:
+        head.append(line)
+        if line.split("#", 1)[0].rstrip("\r\n"):  # a line np.loadtxt does not skip
+            return np.loadtxt(chain(head, lines), delimiter=",", ndmin=2)
+    raise ValueError("no data")
 
 
 def load_response(path) -> np.ndarray:

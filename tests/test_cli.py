@@ -400,6 +400,24 @@ def test_response_with_two_columns_names_the_file(runner, tmp_path, fig1b_graph,
     assert f"{column}: response has 2 columns, expected 1" in result.output
 
 
+@pytest.mark.parametrize("text", ["", "# no values\n\n"], ids=["empty", "comments only"])
+@pytest.mark.parametrize("command", ["prox", "fit"])
+def test_data_file_without_data_names_the_file(runner, tmp_path, fig1b_graph, command, text):
+    # the empty file is prox's b and fit's design matrix
+    empty = tmp_path / "empty.csv"
+    empty.write_text(text)
+    np.savetxt(tmp_path / "y.csv", np.ones(2), delimiter=",", fmt="%.17g")
+    args = {
+        "prox": ["prox", "--b-file", str(empty), "--lambda", "0.5"],
+        "fit": FIT + ["--design", str(empty), "--response", str(tmp_path / "y.csv"),
+                      "--lambda", "0.5", "--out", str(tmp_path / "model.txt")],
+    }[command]
+    result = runner.invoke(main, args + ["--graph", str(fig1b_graph)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"{empty}: no data" in result.output
+
+
 @pytest.mark.parametrize(
     "text",
     [b"1.0: 0 x\n", b"1.0:\n", b"w: 0\n", b"1.0: 0 5\n", b"1.0: 0\n\xff\xfe\n"],

@@ -84,6 +84,20 @@ class TestValidateDag:
         assert dag.node_offsets.tolist() == [0, 2, 5]
         assert [dag.node_coords(i) for i in range(3)] == [range(0, 2), range(2, 5), range(5, 6)]
 
+    def test_d_is_computed_once(self):
+        dag = dp.validate_dag(3, [(0, 1)], node_dims=[2, 3, 1])
+        assert dag.d == 6
+        assert vars(dag)["d"] == 6
+
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_binary_tree_edges_match_the_parent_scan(self, depth):
+        # the edge list, in child order, equals a scan of every parent's two children
+        n = 2**depth - 1
+        edges = [(p, c) for p in range(n) for c in (2 * p + 1, 2 * p + 2) if c < n]
+        tree, scanned = dp.bench.binary_tree(depth), dp.validate_dag(n, edges)
+        assert tree == scanned
+        assert tree.parent_lists == scanned.parent_lists
+
 
 #: sha256 of the canonical text of ancestor group systems, recorded while
 #: GroupSet still kept one array per group: the stacked storage keeps the bytes
@@ -97,16 +111,32 @@ GOLDEN_HASHES = {
 }
 
 
+def _chain(num_nodes):
+    return dp.validate_dag(num_nodes, [(i, i + 1) for i in range(num_nodes - 1)])
+
+
 def _golden_group_set(name):
     if name == "binary_tree13":
         return dp.ancestor_groups(dp.bench.binary_tree(13))
     if name == "chain1500":
-        return dp.ancestor_groups(dp.validate_dag(1500, [(i, i + 1) for i in range(1499)]))
+        return dp.ancestor_groups(_chain(1500))
     # 40 nodes with 1 to 4 variables each
     seed = int(name.removeprefix("random"))
     base = dp.bench.random_dag(40, edge_prob=0.2, seed=seed)
     dims = np.random.default_rng(seed).integers(1, 5, 40)
     return dp.ancestor_groups(dp.validate_dag(40, base.edges, dims))
+
+
+def _assert_matches_per_node_oracle(dag, weights):
+    """``ancestor_groups`` against closure sets expanded node by node to coordinates."""
+    gs = dp.ancestor_groups(dag, weights=weights)
+    oracle = dp.build_index_map(
+        [[c for j in sorted(s) for c in dag.node_coords(j)] for s in closure_sets(dag.num_nodes, dag.edges)],
+        weights=weights, d=dag.d,
+    )
+    assert np.array_equal(gs.stacked_coords, oracle.stacked_coords)
+    assert np.array_equal(gs.sizes, oracle.sizes)
+    assert gs.content_hash() == oracle.content_hash()
 
 
 class TestGroups:
@@ -154,13 +184,44 @@ class TestGroups:
         base = dp.bench.random_dag(15, edge_prob=0.3, seed=seed)
         dag = dp.validate_dag(15, base.edges, rng.integers(1, 5, 15))
         weights = rng.uniform(0.5, 2.0, 15) if seed % 2 else None
-        gs = dp.ancestor_groups(dag, weights=weights)
-        oracle = dp.build_index_map(
-            [[c for j in sorted(s) for c in dag.node_coords(j)] for s in closure_sets(15, dag.edges)],
-            weights=weights, d=dag.d,
-        )
-        assert np.array_equal(gs.stacked_coords, oracle.stacked_coords)
-        assert gs.content_hash() == oracle.content_hash()
+        _assert_matches_per_node_oracle(dag, weights)
+
+    @pytest.mark.parametrize("multidim", [False, True], ids=["one variable", "1-4 variables"])
+    @pytest.mark.parametrize("shape", ["binary_tree", "random_dag", "chain"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_relabelled_dags_match_per_node_oracle(self, shape, seed, multidim):
+        # node ids that are not topological: a child's id may sort before its
+        # parents', so its own id goes inside the parent's group, not after it
+        base = {
+            "binary_tree": dp.bench.binary_tree(5),
+            "random_dag": dp.bench.random_dag(25, edge_prob=0.25, seed=seed),
+            "chain": _chain(12),
+        }[shape]
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(base.num_nodes)
+        dims = rng.integers(1, 5, base.num_nodes) if multidim else None
+        dag = dp.validate_dag(base.num_nodes, [(perm[u], perm[v]) for u, v in base.edges], dims)
+        assert any(u > v for u, v in dag.edges)
+        _assert_matches_per_node_oracle(dag, None)
+
+    def test_reversed_chain_inserts_every_node_first(self):
+        dag = dp.validate_dag(4, [(3, 2), (2, 1), (1, 0)], node_dims=[1, 2, 1, 3])
+        assert [g.tolist() for g in dp.ancestor_groups(dag).groups] == [
+            list(range(7)), [1, 2, 3, 4, 5, 6], [3, 4, 5, 6], [4, 5, 6]
+        ]
+
+    @pytest.mark.parametrize("name", ["binary_tree13", "chain1500"])
+    def test_build_peak_memory_is_linear_in_stacked_size(self, name):
+        # one sorted array of 8 B per entry per group, then the flattened
+        # result: no Python set or list per node on the way
+        dag = dp.bench.binary_tree(13) if name == "binary_tree13" else _chain(1500)
+        tracemalloc.start()
+        try:
+            gs = dp.ancestor_groups(dag)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * gs.n, peak / gs.n
 
     def test_multidim_node_expansion(self):
         dag = dp.validate_dag(2, [(0, 1)], node_dims=[2, 1])

@@ -388,6 +388,20 @@ class TestDataAndModelFiles:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: could not convert"):
             load(path)
 
+    @pytest.mark.parametrize("text", ["", "\n", "# no values\n\n# at all\n"],
+                             ids=["empty", "blank line", "comments only"])
+    @pytest.mark.parametrize("load", [dp.learn.load_design_matrix, dp.learn.load_response])
+    def test_data_file_without_data_names_the_file(self, tmp_path, load, text):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no data$"):
+            load(path)
+
+    def test_data_after_leading_comments_is_read(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("# header\n\n1,2\n# between\n3,4\n")
+        assert dp.learn.load_design_matrix(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
     def test_model_file_round_trip(self, tmp_path):
         gs = dp.build_index_map([[0], [0, 1]], d=2)
         beta = np.array([0.25, -1.5])
