@@ -151,36 +151,20 @@ def proxgrad_norm(x: np.ndarray, inst: ProxInstance) -> float:
     group-norm term; zero exactly at minimizers.  With ``lam = 0`` this is
     the plain gradient norm ``||M^T(M x - b)||``.
     """
-    x = np.asarray(x, dtype=float)
-    residual = inst.operator.apply(x) - inst.b
-    return _proxgrad_from_gradient(x, inst.operator.adjoint_apply(residual), inst)
+    return objective_and_proxgrad(np.asarray(x, dtype=float), inst)[1]
 
 
-def _proxgrad_from_gradient(x: np.ndarray, grad: np.ndarray, inst: ProxInstance) -> float:
-    step_point = blockwise_soft_threshold(
-        x - grad, inst.lam * inst.group_set.weights, inst.group_set
-    )
-    diff = x - step_point
-    return math.sqrt(diff @ diff)  # the float np.linalg.norm returns
-
-
-def objective_and_proxgrad(x: np.ndarray, inst: ProxInstance) -> tuple[float, float]:
-    """Objective and unit-step proximal-gradient norm with one operator pass."""
-    obj, pg, _ = objective_proxgrad_and_gradient(x, inst)
-    return obj, pg
-
-
-def objective_proxgrad_and_gradient(
-    x: np.ndarray, inst: ProxInstance
-) -> tuple[float, float, np.ndarray]:
-    """:func:`objective_and_proxgrad` plus the smooth gradient ``M^T(M x - b)`` it used.
+def objective_and_proxgrad(x: np.ndarray, inst: ProxInstance) -> tuple[float, float, np.ndarray]:
+    """Objective, :func:`proxgrad_norm` and the gradient ``M^T(M x - b)``, from one operator pass.
 
     A proximal-gradient step from ``x`` needs exactly this gradient, so a
     solver that tests optimality at its next gradient point takes it from here.
     """
     obj, residual = objective_and_residual(x, inst)
     grad = inst.operator.adjoint_apply(residual)
-    return obj, _proxgrad_from_gradient(x, grad, inst), grad
+    gs = inst.group_set
+    diff = x - blockwise_soft_threshold(x - grad, inst.lam * gs.weights, gs)
+    return obj, math.sqrt(diff @ diff), grad  # the float np.linalg.norm returns
 
 
 def kkt_residual(

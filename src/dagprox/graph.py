@@ -127,7 +127,8 @@ def validate_dag(num_nodes, edges, node_dims=None) -> Dag:
     Raises
     ------
     ValueError
-        ``num_nodes < 1``, or a count, endpoint or dimension that is no integer.
+        ``num_nodes < 1``, an edge that is not a pair, or a count, endpoint
+        or dimension that is no integer.
     IndexOutOfRange
         An edge endpoint is outside ``[0, num_nodes)``.
     DuplicateEdge
@@ -142,18 +143,27 @@ def validate_dag(num_nodes, edges, node_dims=None) -> Dag:
         raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
 
     ordered_edges: dict[tuple[int, int], None] = {}  # a set that keeps insertion order
+    succ: list[list[int]] = [[] for _ in range(num_nodes)]
+    preds: list[list[int]] = [[] for _ in range(num_nodes)]
     for e in edges:
         try:
-            u, v = operator.index(e[0]), operator.index(e[1])
+            u, v = e
+        except (TypeError, ValueError):
+            raise ValueError(f"edge must be a (parent, child) pair, got {e!r}") from None
+        try:
+            u, v = operator.index(u), operator.index(v)
         except TypeError:  # the checks name the endpoint that is not an integer
-            u, v = _check_int(e[0], "edge endpoint"), _check_int(e[1], "edge endpoint")
+            u, v = _check_int(u, "edge endpoint"), _check_int(v, "edge endpoint")
         if not (0 <= u < num_nodes and 0 <= v < num_nodes):
             raise IndexOutOfRange(
                 f"edge ({u}, {v}) has an endpoint outside [0, {num_nodes})"
             )
-        if (u, v) in ordered_edges:
+        edge = u, v
+        if edge in ordered_edges:
             raise DuplicateEdge(f"edge ({u}, {v}) appears more than once")
-        ordered_edges[u, v] = None
+        ordered_edges[edge] = None
+        succ[u].append(v)
+        preds[v].append(u)
 
     if node_dims is None:
         dims = (1,) * num_nodes
@@ -167,11 +177,6 @@ def validate_dag(num_nodes, edges, node_dims=None) -> Dag:
             raise DimensionMismatch("node_dims entries must be positive")
 
     # Kahn's algorithm; a leftover node means a cycle (self-loops included).
-    succ: list[list[int]] = [[] for _ in range(num_nodes)]
-    preds: list[list[int]] = [[] for _ in range(num_nodes)]
-    for u, v in ordered_edges:
-        succ[u].append(v)
-        preds[v].append(u)
     indeg = [len(p) for p in preds]
     order = [i for i in range(num_nodes) if indeg[i] == 0]
     for u in order:  # the order grows while it is read: it is the FIFO queue
@@ -306,8 +311,8 @@ def build_index_map(groups, weights=None, d=None) -> GroupSet:
     EmptyGroup
         Some group has no coordinates.
     ValueError
-        There is no group, a coordinate or ``d`` is not an integer, or a
-        weight is not positive and finite.
+        There is no group, a group is not one-dimensional, a coordinate or
+        ``d`` is not an integer, or a weight is not positive and finite.
     IndexOutOfRange
         A coordinate falls outside ``[0, d)``.
     """
@@ -316,6 +321,8 @@ def build_index_map(groups, weights=None, d=None) -> GroupSet:
         a = np.asarray(g)
         if a.size == 0:
             raise EmptyGroup("groups must be nonempty")
+        if a.ndim != 1:
+            raise ValueError(f"a group must be a flat sequence of coordinates, got shape {a.shape}")
         if a.dtype.kind not in "biu":  # the rule names the first coordinate that breaks it
             for c in a.ravel().tolist():
                 _check_int(c, "group coordinate")

@@ -36,7 +36,7 @@ from .kernels import (
     nested_prox,
     penalty_value,
 )
-from .solvers import SolveOptions, SolverState, _check_loop_options, prox_log_admm_sharing
+from .solvers import SolveOptions, SolverState, _check_loop_options, _extrapolate, prox_log_admm_sharing
 
 __all__ = [
     "SmoothLoss",
@@ -327,9 +327,7 @@ def fit(
             # once it points against the gradient mapping
             if np.dot(point - beta_new, beta_new - beta) > 0:
                 t_momentum = 1.0
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2))
-            point = beta_new + ((t_momentum - 1.0) / t_next) * (beta_new - beta)
-            t_momentum = t_next
+            point, t_momentum = _extrapolate(beta_new, beta, t_momentum)
         else:
             point = beta_new
         beta = beta_new
@@ -394,8 +392,13 @@ def load_response(path) -> np.ndarray:
 
 
 def save_model(path, beta, lam, loss_type, group_set: GroupSet) -> None:
-    """Plain-text model file: commented header plus beta as a CSV column."""
+    """Plain-text model file: commented header plus beta as a CSV column.
+
+    ``beta`` must be finite with one entry per coordinate of ``group_set``;
+    a rejected call writes nothing.
+    """
     _check_lam(lam)
+    beta = _check_vector(beta, group_set.d, "beta")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# d: {len(beta)}\n")
         fh.write(f"# lambda: {lam:.17g}\n")
@@ -406,21 +409,33 @@ def save_model(path, beta, lam, loss_type, group_set: GroupSet) -> None:
 
 
 def load_model(path) -> dict:
+    """Read a :func:`save_model` file; every error names ``path``.
+
+    A file with no value lines is a ``ValueError``.
+    """
+    return _parse_file(path, _parse_model)
+
+
+def _parse_model(lines) -> dict:
     header: dict[str, str] = {}
     values: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].partition(":")
-                header[key.strip()] = val.strip()
-            else:
+    for num, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, _, val = line[1:].partition(":")
+            header[key.strip()] = val.strip()
+        else:
+            try:
                 values.append(float(line))
+            except ValueError as exc:
+                raise ValueError(f"line {num}: {exc}") from None
+    if not values:
+        raise ValueError("no data")
     beta = np.array(values)
     if "d" in header and int(header["d"]) != beta.size:
-        raise ValueError(f"{path}: header d={header['d']} but {beta.size} values")
+        raise ValueError(f"header d={header['d']} but {beta.size} values")
     return {
         "beta": beta,
         "lam": float(header.get("lambda", "nan")),

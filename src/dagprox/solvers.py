@@ -26,10 +26,14 @@ the latent minimizer is not.
   input, and a group whose bound stays below its threshold is certified to
   stay zero without being gathered, so the iterates are the dense step's.
 * ``prox_log_pgm`` is ISTA (optionally FISTA) with the exact separable
-  group prox and step ``1 / ||M||_2^2``.  ISTA's next gradient
-  point is its current iterate, so each step reuses the gradient that the
-  stopping test at that iterate already computed; FISTA evaluates its
-  gradient afresh at the extrapolated point.
+  group prox and step ``1 / ||M||_2^2``; FISTA evaluates its gradient
+  afresh at the extrapolated point.
+
+BCD and PGM run one descent loop and differ only in its step.  From
+``x = 0``, each iterate makes one certificate call
+(:func:`~dagprox.diagnostics.objective_and_proxgrad`): its objective,
+proximal-gradient norm and gradient serve the stopping test, the trace
+record and ISTA's next step.
 
 ``prox_log_admm_unscaled`` is not one of the five: it is the dense
 reference the tests hold the sharing solver against.  It runs the same
@@ -50,13 +54,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .diagnostics import (
-    ConvergenceTrace,
-    TraceRecord,
-    objective_and_proxgrad,
-    objective_proxgrad_and_gradient,
-    proxgrad_norm,
-)
+from .diagnostics import ConvergenceTrace, TraceRecord, objective_and_proxgrad
 from .errors import InvalidStep, NonFiniteIterate
 from .graph import _check_int
 from .kernels import (
@@ -243,7 +241,7 @@ class _Tracer:
             return
         if self.trace.last_iter == k:
             return
-        obj, pg = computed if computed is not None else objective_and_proxgrad(x, self.inst)
+        obj, pg = computed if computed is not None else objective_and_proxgrad(x, self.inst)[:2]
         self.trace.append(
             TraceRecord(
                 iter=k,
@@ -301,6 +299,39 @@ def _result(inst, x, status, k, trace, state=None, beta=None) -> ProxResult:
     )
 
 
+def _descend(inst: ProxInstance, opts: SolveOptions, step: Callable, what: str) -> ProxResult:
+    """The descent loop of BCD and PGM: ``x = step(x, grad)`` from ``x = 0``.
+
+    ``grad = M^T(M x - b)`` comes from the certificate call at the current
+    ``x``, which also gives the objective and the proximal-gradient norm
+    that the trace records and the stop test ``norm <= tol_opt`` reads; a
+    NaN norm never passes it.  At ``x = 0`` a passing test returns
+    ``converged`` after 0 iterations.  ``what`` names the iterate in the
+    :class:`NonFiniteIterate` raised when the norm is not finite.
+    """
+    tracer = _Tracer(inst, opts.trace_every)
+    x = np.zeros(inst.n)
+    obj, measure, grad = objective_and_proxgrad(x, inst)
+    converged = measure <= opts.tol_opt
+    k = 0
+    while not converged and k < opts.max_iter:
+        k += 1
+        x = step(x, grad)
+        obj, measure, grad = objective_and_proxgrad(x, inst)
+        if not math.isfinite(measure):
+            _check_finite(measure, k, what)
+        tracer.record(k, x, 0.0, 0.0, computed=(obj, measure))
+        converged = measure <= opts.tol_opt
+    tracer.record(k, x, 0.0, 0.0, final=True, computed=(obj, measure))
+    return _result(inst, x, "converged" if converged else "max_iter", k, tracer)
+
+
+def _extrapolate(new: np.ndarray, old: np.ndarray, t: float) -> tuple[np.ndarray, float]:
+    """FISTA's momentum step (Beck & Teboulle 2009): the next point and ``t``."""
+    t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t**2))
+    return new + ((t - 1.0) / t_next) * (new - old), t_next
+
+
 def prox_log_bcd(
     inst: ProxInstance, opts: Optional[SolveOptions] = None, randomized: bool = False
 ) -> ProxResult:
@@ -315,25 +346,15 @@ def prox_log_bcd(
     """
     opts = opts or SolveOptions()
     gs = inst.group_set
-    op = inst.operator
     thresholds = inst.lam * gs.weights
     coords = gs.groups
     ranges = gs.index_ranges
     b_segments = [inst.b[g] for g in coords]
-
-    x = np.zeros(inst.n)
     beta = np.zeros(inst.d)
     rng = np.random.default_rng(opts.seed) if randomized else None
-    tracer = _Tracer(inst, opts.trace_every)
 
-    if proxgrad_norm(x, inst) <= opts.tol_opt:
-        tracer.record(0, x, 0.0, 0.0, final=True)
-        return _result(inst, x, "converged", 0, tracer)
-
-    status = "max_iter"
-    k = 0
-    computed = None
-    for k in range(1, opts.max_iter + 1):
+    def sweep(x, grad):
+        nonlocal beta
         order = rng.permutation(gs.num_groups) if randomized else range(gs.num_groups)
         for j in order:
             lo, hi = ranges[j]
@@ -343,17 +364,10 @@ def prox_log_bcd(
             seg = group_soft_threshold(b_segments[j] - rest, thresholds[j])
             x[lo:hi] = seg
             beta[g] = rest + seg
-        beta = op.apply(x)  # resync: incremental updates accumulate rounding
-        obj, measure = objective_and_proxgrad(x, inst)
-        computed = (obj, measure)
-        if not math.isfinite(measure):
-            _check_finite(measure, k, "BCD iterate")
-        tracer.record(k, x, 0.0, 0.0, computed=computed)
-        if measure <= opts.tol_opt:
-            status = "converged"
-            break
-    tracer.record(k, x, 0.0, 0.0, final=True, computed=computed)
-    return _result(inst, x, status, k, tracer)
+        beta = inst.operator.apply(x)  # resync: incremental updates accumulate rounding
+        return x
+
+    return _descend(inst, opts, sweep, "BCD iterate")
 
 
 def prox_log_admm_sharing(
@@ -602,45 +616,24 @@ def prox_log_pgm(
     pair.
     """
     opts = opts or SolveOptions()
-    step = 1.0 / operator_norm_sq(inst.operator)
+    step_size = 1.0 / operator_norm_sq(inst.operator)
     gs = inst.group_set
     op = inst.operator
-    thresholds = step * inst.lam * gs.weights
-    tracer = _Tracer(inst, opts.trace_every)
+    thresholds = step_size * inst.lam * gs.weights
 
-    x = np.zeros(inst.n)
-    # the stopping test at x computes the gradient at x: ISTA steps from it
-    _, measure, grad = objective_proxgrad_and_gradient(x, inst)
-    if measure <= opts.tol_opt:
-        tracer.record(0, x, 0.0, 0.0, final=True)
-        return _result(inst, x, "converged", 0, tracer)
+    def ista(x, grad):
+        return blockwise_soft_threshold(x - step_size * grad, thresholds, gs)
 
-    point = x
-    t_momentum = 1.0
-    status = "max_iter"
-    k = 0
-    computed = None
-    for k in range(1, opts.max_iter + 1):
-        if accelerated:
-            grad = op.adjoint_apply(op.apply(point) - inst.b)
-        x_new = blockwise_soft_threshold(point - step * grad, thresholds, gs)
-        if accelerated:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2))
-            point = x_new + ((t_momentum - 1.0) / t_next) * (x_new - x)
-            t_momentum = t_next
-        else:
-            point = x_new
-        x = x_new
-        obj, measure, grad = objective_proxgrad_and_gradient(x, inst)
-        computed = (obj, measure)
-        if not math.isfinite(measure):
-            _check_finite(measure, k, "PGM iterate")
-        tracer.record(k, x, 0.0, 0.0, computed=computed)
-        if measure <= opts.tol_opt:
-            status = "converged"
-            break
-    tracer.record(k, x, 0.0, 0.0, final=True, computed=computed)
-    return _result(inst, x, status, k, tracer)
+    point, t = np.zeros(inst.n), 1.0
+
+    def fista(x, grad):
+        nonlocal point, t
+        grad = op.adjoint_apply(op.apply(point) - inst.b)
+        x_new = blockwise_soft_threshold(point - step_size * grad, thresholds, gs)
+        point, t = _extrapolate(x_new, x, t)
+        return x_new
+
+    return _descend(inst, opts, fista if accelerated else ista, "PGM iterate")
 
 
 def _solve_rbcd(inst, opts=None):

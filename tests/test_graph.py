@@ -42,6 +42,12 @@ class TestValidateDag:
         with pytest.raises(dp.DuplicateEdge):
             dp.validate_dag(3, [(0, 1), (0, 1)])
 
+    @pytest.mark.parametrize("edge", [(0, 1, 2), (0,), 5], ids=["triple", "single", "int"])
+    def test_edge_that_is_not_a_pair_rejected(self, edge):
+        # a triple lost its third entry; the others raised a bare IndexError and TypeError
+        with pytest.raises(ValueError, match=re.escape(f"edge must be a (parent, child) pair, got {edge!r}")):
+            dp.validate_dag(3, [(0, 1), edge])
+
     def test_zero_nodes(self):
         with pytest.raises(ValueError):
             dp.validate_dag(0, [])
@@ -279,6 +285,12 @@ class TestIndexMap:
             dp.build_index_map([], d=3)
         with pytest.raises(ValueError, match="^a group system needs at least one group$"):
             dp.build_index_map([])
+
+    @pytest.mark.parametrize("group, shape", [([[1, 2]], "(1, 2)"), (2, "()")], ids=["nested", "scalar"])
+    def test_group_that_is_not_flat_rejected(self, group, shape):
+        # np.unique flattened [[1, 2]] into the group {1, 2}
+        with pytest.raises(ValueError, match=re.escape(f"flat sequence of coordinates, got shape {shape}")):
+            dp.build_index_map([[0, 1], group])
 
     def test_out_of_range_coordinate(self):
         with pytest.raises(dp.IndexOutOfRange):

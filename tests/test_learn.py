@@ -402,6 +402,32 @@ class TestDataAndModelFiles:
         path.write_text("# header\n\n1,2\n# between\n3,4\n")
         assert dp.learn.load_design_matrix(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("# d: 2\n0.5\nabc\n", "line 3: could not convert string to float: 'abc'"),
+         ("# d: two\n0.5\n", "invalid literal for int() with base 10: 'two'"),
+         ("", "no data")],
+        ids=["value", "d_header", "empty"],
+    )
+    def test_bad_model_file_is_named(self, tmp_path, text, message):
+        # an empty file loaded as beta = [], lam = nan; the others did not name the file
+        path = tmp_path / "model.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            dp.learn.load_model(path)
+
+    @pytest.mark.parametrize(
+        "beta, error",
+        [(np.ones(5), dp.DimensionMismatch), (np.array([0.5, np.nan]), dp.NonFiniteInput)],
+        ids=["length", "nan"],
+    )
+    def test_save_model_rejects_a_beta_that_does_not_fit(self, tmp_path, beta, error):
+        # such a beta was written under the hash of a 2-coordinate system
+        gs = dp.build_index_map([[0], [0, 1]], d=2)
+        with pytest.raises(error, match="^beta "):
+            dp.learn.save_model(tmp_path / "model.txt", beta, 1.0, "least-squares", gs)
+        assert list(tmp_path.iterdir()) == []
+
     def test_model_file_round_trip(self, tmp_path):
         gs = dp.build_index_map([[0], [0, 1]], d=2)
         beta = np.array([0.25, -1.5])

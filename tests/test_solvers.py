@@ -48,13 +48,15 @@ class TestClosedFormCases:
         res = dp.solve_prox(inst, method, TIGHT)
         assert np.max(np.abs(res.beta - inst.b)) <= 1e-8
 
-    def test_bcd_zero_input_converges_immediately(self, small_instance):
+    @pytest.mark.parametrize("method", ("bcd", "rbcd", "pgm", "fista"))
+    def test_descent_zero_input_converges_immediately(self, method, small_instance):
         inst = dp.ProxInstance(
             b=np.zeros(small_instance.d), lam=0.5, group_set=small_instance.group_set
         )
-        res = dp.prox_log_bcd(inst)
-        assert res.converged and res.iterations <= 1
-        assert np.array_equal(res.beta, np.zeros(inst.d))
+        res = dp.solve_prox(inst, method, dp.SolveOptions(trace_every=1))
+        assert (res.status, res.iterations) == ("converged", 0)
+        assert not res.x.any() and np.array_equal(res.beta, np.zeros(inst.d))
+        assert res.trace.iters.tolist() == [0]
 
     @pytest.mark.parametrize("method", SOLVER_NAMES)
     def test_single_full_group_closed_form(self, method):
@@ -407,21 +409,31 @@ class TestTextbookLoops:
         "fista": ("fista", {}, textbook_pgm, {"accelerated": True}),
     }
 
-    @pytest.mark.parametrize("case", sorted(CASES))
+    # converged runs keep their ids; capped runs at tol_opt = 0 add a suffix
+    RUNS = [pytest.param(case, None, id=case) for case in sorted(CASES)] + [
+        pytest.param(case, cap, id=f"{case}-max_iter{cap}") for case in sorted(CASES) for cap in (1, 2)
+    ]
+
+    @pytest.mark.parametrize("case, cap", RUNS)
     @pytest.mark.parametrize(
         "instance", ["small_instance", "chain_instance", "two_layer_instance"]
     )
-    def test_bit_identical_to_textbook(self, case, instance, request):
+    def test_bit_identical_to_textbook(self, case, cap, instance, request):
         inst = request.getfixturevalue(instance)
         method, fields, textbook, keywords = self.CASES[case]
-        opts = dp.SolveOptions(
-            max_iter=self.MAX_ITER, tol_opt=self.TOL, trace_every=1, **fields
-        )
+        max_iter, tol = (self.MAX_ITER, self.TOL) if cap is None else (cap, 0.0)
+        opts = dp.SolveOptions(max_iter=max_iter, tol_opt=tol, trace_every=1, **fields)
         res = dp.solve_prox(inst, method, opts)
-        iters, x, records = textbook(inst, self.MAX_ITER, self.TOL, **keywords)
+        iters, x, records = textbook(inst, max_iter, tol, **keywords)
         assert res.iterations == iters
         assert res.x.tobytes() == x.tobytes()
         assert [(r.objective, r.proxgrad_norm) for r in res.trace] == records
+        if cap is not None:
+            # tol_opt = 0 passes only an exact certificate, which BCD reaches
+            # on the chain in its second sweep
+            exact = res.trace[-1].proxgrad_norm == 0.0
+            assert res.status == ("converged" if exact else "max_iter")
+            assert (res.iterations, res.trace.last_iter) == (cap, cap)
 
 
 @pytest.fixture(scope="module")
