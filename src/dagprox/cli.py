@@ -141,7 +141,8 @@ def cmd_prox_bench(topology, nodes, depth, edge_prob, seed, reps, lam, solvers,
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Write beta here instead of stdout.")
 @click.option("--latent-out", type=click.Path(), default=None,
-              help="Also write the latent decomposition (one CSV column per group).")
+              help="Also write the latent decomposition (one 'group,coordinate,value' "
+                   "CSV row per nonzero latent entry).")
 def cmd_prox(graph_path, groups_path, b_file, b_inline, lam, solver,
              rho, alpha, tol, max_iter, out_path, latent_out):
     """Evaluate the penalty prox at one input; beta goes to stdout or --out."""
@@ -166,7 +167,11 @@ def cmd_prox(graph_path, groups_path, b_file, b_inline, lam, solver,
     res = solve_prox(inst, solver, opts)
     _write_column(res.beta, out_path)
     if latent_out is not None:
-        np.savetxt(latent_out, res.latent_matrix(), delimiter=",", fmt="%.17g")
+        nz = np.flatnonzero(res.x)  # one row per nonzero stacked entry
+        group_of = np.repeat(np.arange(group_set.num_groups), group_set.sizes)
+        rows = np.column_stack((group_of[nz], group_set.stacked_coords[nz], res.x[nz]))
+        np.savetxt(latent_out, rows, fmt=("%d", "%d", "%.17g"), delimiter=",",
+                   header="group,coordinate,value", comments="")
     if not res.converged:
         click.echo(f"warning: {solver} hit max_iter={max_iter}", err=True)
 

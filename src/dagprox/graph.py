@@ -6,8 +6,8 @@ latent overlapping group (LOG) penalty, whose support is a union of groups
 and therefore conforms to the strong-hierarchy reading of the graph.
 
 Node indices are 0-based throughout.  Groups are ordered by node index so
-that group construction is deterministic; a seed-controlled shuffle is
-available for randomized block-coordinate experiments.
+that group construction is deterministic; :meth:`GroupSet.restrict` keeps
+any selection of the groups, in any order, and maps stacked vectors onto it.
 """
 
 from __future__ import annotations
@@ -274,12 +274,28 @@ class GroupSet:
             return None
         return order
 
-    def shuffled(self, seed: int) -> "GroupSet":
-        """A copy with the group order permuted by a seeded RNG."""
-        perm = np.random.default_rng(seed).permutation(self.num_groups)
-        return build_index_map(
-            [self.groups[j] for j in perm], weights=self.weights[perm], d=self.d
-        )
+    def restrict(self, keep) -> tuple["GroupSet", np.ndarray]:
+        """The groups ``keep`` in that order, and the positions of their entries in ``self``.
+
+        ``keep`` is a 1-D sequence of group ids: a subset, a permutation,
+        repeated ids or none.  ``entries`` holds the stacked position in
+        ``self`` of every stacked entry of the result, so ``x[entries]``
+        carries a stacked vector onto it.  The kept groups are valid already,
+        so nothing but ``keep`` is checked: an id that is no integer or lies
+        outside ``[0, num_groups)`` (negative ids do not wrap) is an
+        :class:`IndexOutOfRange`.
+        """
+        keep = np.asarray(keep)
+        if keep.size == 0:
+            keep = keep.astype(np.intp)  # an empty list reads as float
+        if keep.ndim != 1 or keep.dtype.kind not in "iu" or (
+            keep.size and (keep.min() < 0 or keep.max() >= self.num_groups)
+        ):
+            raise IndexOutOfRange(f"keep must be a 1-D sequence of group ids in [0, {self.num_groups})")
+        sizes = self.sizes[keep]
+        entries = np.repeat(self.starts[keep] - (np.cumsum(sizes) - sizes), sizes)
+        entries += np.arange(entries.size)
+        return GroupSet(self.stacked_coords[entries], sizes, self.weights[keep], self.d), entries
 
     def canonical_text(self) -> str:
         """Serialized group-file form; stable input for content hashing."""

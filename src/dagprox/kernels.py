@@ -134,7 +134,7 @@ def group_soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
 
 
 def _segment_norms(x: np.ndarray, group_set) -> np.ndarray:
-    """Per-group l2 norms of a stacked vector; of ``group_set`` only ``starts`` is read."""
+    """Per-group l2 norms of a stacked vector laid out as ``group_set``."""
     sq = np.add.reduceat(x * x, group_set.starts)
     return np.sqrt(sq)
 

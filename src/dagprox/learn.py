@@ -411,7 +411,8 @@ def save_model(path, beta, lam, loss_type, group_set: GroupSet) -> None:
 def load_model(path) -> dict:
     """Read a :func:`save_model` file; every error names ``path``.
 
-    A file with no value lines is a ``ValueError``.
+    A file with no value lines or no ``# lambda:`` header is a
+    ``ValueError``; β and λ are checked as :func:`save_model` checks them.
     """
     return _parse_file(path, _parse_model)
 
@@ -433,12 +434,16 @@ def _parse_model(lines) -> dict:
                 raise ValueError(f"line {num}: {exc}") from None
     if not values:
         raise ValueError("no data")
-    beta = np.array(values)
+    beta = _check_vector(values, len(values), "beta")
     if "d" in header and int(header["d"]) != beta.size:
         raise ValueError(f"header d={header['d']} but {beta.size} values")
+    if "lambda" not in header:
+        raise ValueError("missing '# lambda:' header line")
+    lam = float(header["lambda"])
+    _check_lam(lam, "lambda")
     return {
         "beta": beta,
-        "lam": float(header.get("lambda", "nan")),
+        "lam": lam,
         "loss": header.get("loss", ""),
         "groups_sha256": header.get("groups_sha256", ""),
     }

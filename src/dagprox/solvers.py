@@ -203,19 +203,6 @@ class ProxResult:
     def converged(self) -> bool:
         return self.status == "converged"
 
-    @property
-    def latent(self) -> list[np.ndarray]:
-        """Per-group latent segments ``x_{j(g)}`` in group order."""
-        return [self.x[lo:hi] for lo, hi in self.group_set.index_ranges]
-
-    def latent_matrix(self) -> np.ndarray:
-        """Latent vectors as a dense d-by-|G| matrix, one column per group."""
-        gs = self.group_set
-        m = np.zeros((gs.d, gs.num_groups))
-        # one entry per stacked copy: a group's coordinates are distinct
-        m[gs.stacked_coords, np.repeat(np.arange(gs.num_groups), gs.sizes)] = self.x
-        return m
-
 
 class _Tracer:
     """Collects trace records at the configured stride plus the final iterate."""
@@ -252,30 +239,6 @@ class _Tracer:
                 proxgrad_norm=pg,
             )
         )
-
-
-class _PackedGroups:
-    """The stacked entries of a set of groups, packed group after group.
-
-    ``idx`` are the entries' stacked positions and ``coords`` their ambient
-    coordinates; the group ``groups[i]`` fills ``sizes[i]`` entries from
-    ``starts[i]``, so :func:`~dagprox.kernels._segment_norms` reads a layout
-    as it reads a :class:`~dagprox.graph.GroupSet`.
-    """
-
-    def __init__(self, groups: np.ndarray, gs, thresholds: np.ndarray):
-        self.groups = groups
-        self.member = np.zeros(gs.num_groups, dtype=bool)
-        self.member[groups] = True
-        self.sizes = gs.sizes[groups]
-        self.starts = np.cumsum(self.sizes) - self.sizes
-        self.idx = np.repeat(gs.starts[groups] - self.starts, self.sizes)
-        self.idx += np.arange(self.idx.size)
-        self.coords = gs.stacked_coords[self.idx]
-        self.thresholds = thresholds[groups]
-
-    def holds(self, groups: np.ndarray) -> bool:
-        return bool(self.member[groups].all())
 
 
 def _check_finite(value: float, k: int, what: str) -> None:
@@ -420,7 +383,8 @@ def prox_log_admm_sharing(
     :func:`blockwise_soft_threshold` and the operator; the next step reseeds
     the bounds from its group norms.
 
-    The refreshed groups' entries are packed group after group and kept
+    The refreshed groups' entries are packed group after group, as the
+    :meth:`~dagprox.graph.GroupSet.restrict` of ``gs`` to them, and kept
     packed from step to step.  The layout stays while every group the
     certificate asks for is in it; its certified groups are refreshed too,
     which leaves them zero.  The packed entries are written into ``x1`` only
@@ -461,14 +425,16 @@ def prox_log_admm_sharing(
     # last dense step, whose group norms set both on the next step.
     live = np.full(gs.num_groups, state is not None)
     bound = seed = t = None
-    # packed: the groups the lazy steps refresh; vals: their entries, newer
-    # than x1's, or None when x1 holds them
-    packed = vals = None
+    # layout: gs restricted to the groups ``kept`` that the lazy steps
+    # refresh, with their positions ``entries`` in x1, a mask ``held`` of them
+    # and their thresholds; vals: their entries, newer than x1's, or None
+    # when x1 holds them
+    layout = entries = kept = held = kept_thresholds = vals = None
 
     def write_back():
         nonlocal vals
         if vals is not None:
-            x1[packed.idx] = vals  # x1 is the loop's own array after the first step
+            x1[entries] = vals  # x1 is the loop's own array after the first step
             vals = None
 
     status = "max_iter"
@@ -499,25 +465,29 @@ def prox_log_admm_sharing(
             mx1 = op.apply(x1)
             vals_prev = None
         else:
-            if packed is None or not packed.holds(refresh):
+            if held is None or not held[refresh].all():
                 write_back()
-                packed = _PackedGroups(refresh, gs, thresholds)
+                kept = refresh
+                layout, entries = gs.restrict(kept)
+                held = np.zeros(gs.num_groups, dtype=bool)
+                held[kept] = True
+                kept_thresholds = thresholds[kept]
             # a certified group in the layout is refreshed too: its norm is
             # ||t_j||, at most its threshold, so it stays zero
-            vals_prev = x1[packed.idx] if vals is None else vals
-            vals = vals_prev + t[packed.coords]
-            norms = _segment_norms(vals, packed)
-            factors, now_live = _shrink_factors(norms, packed.thresholds)
-            vals *= np.repeat(factors, packed.sizes)
+            vals_prev = x1[entries] if vals is None else vals
+            vals = vals_prev + t[layout.stacked_coords]
+            norms = _segment_norms(vals, layout)
+            factors, now_live = _shrink_factors(norms, kept_thresholds)
+            vals *= np.repeat(factors, layout.sizes)
             # bincount of nothing would be an integer array
             mx1 = (
-                np.bincount(packed.coords, weights=vals, minlength=inst.d)
+                np.bincount(layout.stacked_coords, weights=vals, minlength=inst.d)
                 if vals.size
                 else np.zeros(inst.d)
             )
             # a group zero before and after has vals = t, so its norm is ||t_j||
-            bound[packed.groups] = np.where(now_live | live[packed.groups], np.inf, norms)
-            live[packed.groups] = now_live
+            bound[kept] = np.where(now_live | live[kept], np.inf, norms)
+            live[kept] = now_live
         g = (b - mx1 + rho * w) / consensus_scale
         w = w - dual_step * g
         primal = math.sqrt(cover @ (g * g))
@@ -528,7 +498,7 @@ def prox_log_admm_sharing(
         if opts.trace_every or primal <= opts.tol_primal:
             if vals_prev is not None:  # a lazy step: rebuild the previous x1
                 x1_prev = x1.copy()
-                x1_prev[packed.idx] = vals_prev
+                x1_prev[entries] = vals_prev
                 write_back()
             dg = g - g_prev
             dx1 = x1 - x1_prev

@@ -18,6 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from dagprox.graph import build_index_map
 from dagprox.kernels import (
     ProxInstance,
     blockwise_soft_threshold,
@@ -291,6 +292,13 @@ def textbook_latent_matrix(x, group_set):
     for j, ((lo, hi), g) in enumerate(zip(group_set.index_ranges, group_set.groups)):
         m[g, j] = x[lo:hi]
     return m
+
+
+def textbook_restrict(group_set, keep):
+    """The groups ``keep`` of ``group_set``, in that order, rebuilt one group at a time."""
+    return build_index_map(
+        [group_set.groups[j] for j in keep], weights=group_set.weights[keep], d=group_set.d
+    )
 
 
 def warm_started_fit(loss, group_set, lam, outer, inner_max_iter=20_000):

@@ -4,6 +4,7 @@ from click.testing import CliRunner
 
 import dagprox as dp
 from dagprox.cli import main
+from oracles import textbook_latent_matrix
 
 
 @pytest.fixture
@@ -21,6 +22,14 @@ def fig1b_graph(tmp_path):
 
 def parse_column(text):
     return np.array([float(t) for t in text.strip().splitlines()])
+
+
+def read_latent(path):
+    """``(groups, coords, values)`` of a ``--latent-out`` file, after its header."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == "group,coordinate,value"
+    rows = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    return rows[:, 0].astype(int), rows[:, 1].astype(int), rows[:, 2]
 
 
 def read_summary(path):
@@ -71,9 +80,34 @@ class TestProxCommand:
         )
         assert result.exit_code == 0, result.output
         beta = parse_column(out.read_text())
-        cols = np.loadtxt(latent, delimiter=",")
-        assert cols.shape == (4, 4)
-        assert np.max(np.abs(cols.sum(axis=1) - beta)) <= 1e-12
+        groups, coords, values = read_latent(latent)
+        assert np.max(np.abs(np.bincount(coords, weights=values, minlength=4) - beta)) <= 1e-12
+        # the rows are the nonzero entries of the solve's latent, one per stacked copy
+        gs = dp.ancestor_groups(dp.read_edge_list(fig1b_graph))
+        inst = dp.ProxInstance(b=np.ones(4), lam=0.5, group_set=gs)
+        x = dp.prox_log_admm_sharing(inst, dp.SolveOptions(max_iter=100_000)).x
+        got = np.zeros((gs.d, gs.num_groups))
+        got[coords, groups] = values
+        assert np.array_equal(got, textbook_latent_matrix(x, gs))
+        assert len(values) == np.count_nonzero(x)
+
+    def test_latent_output_grows_with_the_stacked_size(self, runner, tmp_path):
+        # binary_tree(13) has d = |G| = 8,191: a d-by-|G| matrix would take 537 MB
+        dag = dp.bench.binary_tree(13)
+        gs = dp.ancestor_groups(dag)
+        graph, b_file, out, latent = (tmp_path / f for f in ("g.txt", "b.csv", "beta.csv", "latent.csv"))
+        dp.write_edge_list(dag, graph)
+        np.savetxt(b_file, dp.bench.sample_input(gs.d, 0, 0), fmt="%.17g")
+        result = runner.invoke(
+            main,
+            ["prox", "--graph", str(graph), "--b-file", str(b_file), "--lambda", "0.5",
+             "--out", str(out), "--latent-out", str(latent)],
+        )
+        assert result.exit_code == 0, result.output
+        groups, coords, values = read_latent(latent)
+        assert 0 < len(values) <= gs.n == 98_305
+        beta = parse_column(out.read_text())
+        assert np.max(np.abs(np.bincount(coords, weights=values, minlength=gs.d) - beta)) <= 1e-12
 
     def test_group_file_input(self, runner, tmp_path):
         groups = tmp_path / "groups.txt"

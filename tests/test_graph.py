@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import dagprox as dp
-from oracles import closure_sets, edge_scan_parents, textbook_hierarchy
+from oracles import closure_sets, edge_scan_parents, textbook_hierarchy, textbook_restrict
 
 
 @pytest.fixture
@@ -320,17 +320,83 @@ class TestIndexMap:
 
     def test_shuffled_is_permutation(self):
         gs = dp.build_index_map([[0], [0, 1], [1, 2]], d=3)
-        sh = gs.shuffled(7)
+        sh = gs.restrict(np.random.default_rng(7).permutation(gs.num_groups))[0]
         assert sh.num_groups == gs.num_groups
         assert {frozenset(g.tolist()) for g in sh.groups} == {
             frozenset(g.tolist()) for g in gs.groups
         }
-        again = gs.shuffled(7)
+        again = gs.restrict(np.random.default_rng(7).permutation(gs.num_groups))[0]
         assert all(np.array_equal(a, b) for a, b in zip(sh.groups, again.groups))
 
     def test_uncovered_reported(self):
         gs = dp.build_index_map([[0], [2]], d=4)
         assert gs.uncovered().tolist() == [1, 3]
+
+
+def _restrict_cases(odd_group_sets):
+    """``(group_set, keep)`` pairs: permutations, subsets and repeated ids."""
+    dims_dag = dp.validate_dag(6, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (2, 5)],
+                               node_dims=[2, 1, 3, 1, 2, 2])
+    rng = np.random.default_rng(5)
+    cases = []
+    for gs in [*odd_group_sets, dp.ancestor_groups(dims_dag)]:
+        m = gs.num_groups
+        cases += [
+            (gs, rng.permutation(m)),
+            (gs, np.sort(rng.choice(m, size=m // 2, replace=False))),
+            (gs, rng.integers(0, m, size=2 * m)),
+            (gs, [m - 1, 0, m - 1]),
+        ]
+    return cases
+
+
+class TestRestrict:
+    """``GroupSet.restrict`` against the group-by-group rebuild of the kept groups."""
+
+    def test_all_groups_in_order_keep_the_layout(self, odd_group_sets):
+        for gs in odd_group_sets:
+            sub, entries = gs.restrict(np.arange(gs.num_groups))
+            assert np.array_equal(sub.stacked_coords, gs.stacked_coords)
+            assert np.array_equal(sub.sizes, gs.sizes)
+            assert np.array_equal(sub.weights, gs.weights)
+            assert sub.d == gs.d
+            assert np.array_equal(entries, np.arange(gs.n))
+
+    def test_matches_the_group_by_group_rebuild(self, odd_group_sets):
+        for gs, keep in _restrict_cases(odd_group_sets):
+            sub, entries = gs.restrict(keep)
+            oracle = textbook_restrict(gs, np.asarray(keep))
+            assert sub.stacked_coords.tobytes() == oracle.stacked_coords.tobytes()
+            assert sub.sizes.tobytes() == oracle.sizes.tobytes()
+            assert sub.weights.tobytes() == oracle.weights.tobytes()
+            assert sub.d == oracle.d
+            assert sub.content_hash() == oracle.content_hash()
+
+    def test_entries_carry_a_stacked_vector(self, odd_group_sets):
+        rng = np.random.default_rng(9)
+        for gs, keep in _restrict_cases(odd_group_sets):
+            sub, entries = gs.restrict(keep)
+            x = rng.standard_normal(gs.n)
+            assert np.array_equal(gs.stacked_coords[entries], sub.stacked_coords)
+            for (lo, hi), j in zip(sub.index_ranges, keep):
+                a, b = gs.index_ranges[j]
+                assert np.array_equal(x[entries][lo:hi], x[a:b])
+
+    @pytest.mark.parametrize("keep", [[], np.array([], dtype=np.intp)], ids=["list", "array"])
+    def test_empty_keep(self, keep, odd_group_sets):
+        # the sharing loop's lazy step may certify every group
+        gs = odd_group_sets[0]
+        sub, entries = gs.restrict(keep)
+        assert (sub.num_groups, sub.n, sub.d) == (0, 0, gs.d)
+        assert entries.size == 0 and entries.dtype.kind == "i"
+        assert sub.weights.shape == (0,) and np.array_equal(sub.cover_counts, np.zeros(gs.d))
+
+    @pytest.mark.parametrize("bad", [-1, 4, 1.5], ids=["negative", "num_groups", "fraction"])
+    def test_bad_ids_rejected(self, bad, odd_group_sets):
+        gs = odd_group_sets[0]
+        assert gs.num_groups == 4
+        with pytest.raises(dp.IndexOutOfRange):
+            gs.restrict([0, bad])
 
 
 def pairwise_nested(groups) -> bool:
@@ -341,7 +407,8 @@ def pairwise_nested(groups) -> bool:
 class TestNestedOrder:
     def test_shuffled_chain_is_ordered_by_inclusion(self):
         dag = dp.validate_dag(6, [(i, i + 1) for i in range(5)], node_dims=[2, 1, 3, 1, 1, 2])
-        gs = dp.ancestor_groups(dag).shuffled(3)
+        gs = dp.ancestor_groups(dag)
+        gs = gs.restrict(np.random.default_rng(3).permutation(gs.num_groups))[0]
         order = gs.nested_order
         sets = [set(gs.groups[j].tolist()) for j in order]
         assert all(a < b for a, b in zip(sets, sets[1:]))
@@ -370,7 +437,8 @@ class TestNestedOrder:
         groups = [perm[:k] for k in sizes]
         if seed % 2:  # the smallest group swaps a coordinate for one in no group
             groups[0] = np.append(groups[0][1:], perm[-1])
-        gs = dp.build_index_map(groups, d=d).shuffled(seed)
+        gs = dp.build_index_map(groups, d=d)
+        gs = gs.restrict(np.random.default_rng(seed).permutation(gs.num_groups))[0]
         order = gs.nested_order
         assert (order is not None) == pairwise_nested(gs.groups)
         if order is not None:

@@ -316,7 +316,8 @@ class TestNestedProx:
         num_nodes = int(rng.integers(2, 16))
         dims = rng.integers(1, 4, num_nodes)
         weights = rng.uniform(0.2, 3.0, num_nodes) if seed % 2 else None
-        gs = chain_groups(num_nodes, dims, weights).shuffled(seed)
+        gs = chain_groups(num_nodes, dims, weights)
+        gs = gs.restrict(np.random.default_rng(seed).permutation(gs.num_groups))[0]
         b = rng.standard_normal(gs.d) * rng.uniform(0.5, 4.0)
         lam = float(rng.uniform(0.05, 1.5))
         _, beta, x = assert_prox_kkt(b, lam, gs)
@@ -449,7 +450,8 @@ class TestNestedPenalty:
         rng = np.random.default_rng(seed)
         num_nodes = int(rng.integers(2, 10))
         dims = rng.integers(1, 4, num_nodes)
-        gs = chain_groups(num_nodes, dims, rng.uniform(0.2, 3.0, num_nodes)).shuffled(seed)
+        gs = chain_groups(num_nodes, dims, rng.uniform(0.2, 3.0, num_nodes))
+        gs = gs.restrict(np.random.default_rng(seed).permutation(gs.num_groups))[0]
         beta = rng.standard_normal(gs.d) * rng.uniform(0.3, 4.0)
         offsets = np.cumsum(dims) - dims
         for k in rng.choice(num_nodes, size=seed % 3, replace=False):  # zero shells

@@ -406,14 +406,23 @@ class TestDataAndModelFiles:
         "text, message",
         [("# d: 2\n0.5\nabc\n", "line 3: could not convert string to float: 'abc'"),
          ("# d: two\n0.5\n", "invalid literal for int() with base 10: 'two'"),
-         ("", "no data")],
-        ids=["value", "d_header", "empty"],
+         ("", "no data"),
+         ("# d: 2\n0.5\n1.5\n", "missing '# lambda:' header line"),
+         ("# d: 2\n# lambda: -1\n0.5\n1.5\n", "lambda must be finite and >= 0, got -1.0")],
+        ids=["value", "d_header", "empty", "no_lambda", "negative_lambda"],
     )
     def test_bad_model_file_is_named(self, tmp_path, text, message):
         # an empty file loaded as beta = [], lam = nan; the others did not name the file
         path = tmp_path / "model.txt"
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            dp.learn.load_model(path)
+
+    def test_non_finite_model_values_rejected(self, tmp_path):
+        # this file loaded as beta = [nan, inf] with lam = nan
+        path = tmp_path / "model.txt"
+        path.write_text("# d: 2\nnan\ninf\n")
+        with pytest.raises(dp.NonFiniteInput, match=f"^{re.escape(str(path))}: beta contains non-finite"):
             dp.learn.load_model(path)
 
     @pytest.mark.parametrize(
