@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import csv
 import math
+import time
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import InsufficientData
 from .graph import _check_vector, _parse_file
-from .kernels import ProxInstance, _segment_norms, blockwise_soft_threshold, objective_and_residual
+from .kernels import ProxInstance, _check_lam, _segment_norms, blockwise_soft_threshold, objective_and_residual
 
 __all__ = [
     "TraceRecord",
@@ -27,7 +28,6 @@ __all__ = [
 #: far above the rounding of ``f_star``
 RATE_MIN_GAP_REL = 1e-13
 
-TRACE_HEADER = ["iter", "wall_s", "objective", "primal_res", "dual_res", "proxgrad_norm"]
 _ROW_FORMAT = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
 
 
@@ -38,6 +38,9 @@ class TraceRecord(NamedTuple):
     primal_res: float
     dual_res: float
     proxgrad_norm: float
+
+
+TRACE_HEADER = list(TraceRecord._fields)
 
 
 class ConvergenceTrace:
@@ -135,6 +138,30 @@ class ConvergenceTrace:
         return trace
 
 
+class TraceRecorder:
+    """Keeps every ``every``-th iteration of a loop, plus its last, in :attr:`trace`.
+
+    ``record(k, values, final=True)`` marks the last iterate, kept unless the
+    stride kept it; ``every = 0`` keeps nothing.  A kept record gets ``wall_s``,
+    the seconds since the recorder was made, and the values
+    ``(objective, primal_res, dual_res, proxgrad_norm)`` that ``values()``
+    returns; ``values`` is called for no other record.
+    """
+
+    __slots__ = ("every", "trace", "_t0")
+
+    def __init__(self, every: int):
+        self.every = every
+        self.trace = ConvergenceTrace()
+        self._t0 = time.perf_counter()
+
+    def record(self, k: int, values: Callable[[], tuple], final: bool = False) -> None:
+        # loops call with increasing k, so only a final call can repeat a record
+        if not self.every or (self.trace.last_iter == k if final else k % self.every):
+            return
+        self.trace.append(TraceRecord(k, time.perf_counter() - self._t0, *values()))
+
+
 @dataclass(frozen=True)
 class RateFit:
     """Least-squares line fit of ``ln(objective gap)`` against iteration."""
@@ -184,7 +211,10 @@ def kkt_residual(
 
     Conic multipliers are eliminated analytically; every per-group term is a
     segment operation over the stacked vectors, which must be finite.
+    ``rho`` must be finite and ``>= 0``; ``rho = 0`` gives the split
+    problem's plain KKT system.
     """
+    _check_lam(rho, "rho")
     n = inst.n
     x1, x2, y = _check_vector(x1, n, "x1"), _check_vector(x2, n, "x2"), _check_vector(y, n, "y")
     op = inst.operator

@@ -16,7 +16,6 @@ gradient mapping.
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain
@@ -24,7 +23,7 @@ from typing import Optional, Protocol, runtime_checkable
 
 import numpy as np
 
-from .diagnostics import ConvergenceTrace, TraceRecord
+from .diagnostics import ConvergenceTrace, TraceRecorder
 from .errors import DimensionMismatch, InnerSolverWarning, NonFiniteInput
 from .graph import Dag, GroupSet, _check_vector, _parse_file, ancestor_groups, check_hierarchy_conformance
 from .kernels import (
@@ -240,7 +239,9 @@ def fit(
     is the sharing ADMM with ``rho = 1``, ``alpha = 1/2`` and at most
     :data:`INNER_MAX_ITER` iterations.  The outer stopping rule is the
     gradient-mapping norm
-    ``||beta - prox(beta - s grad)|| / s <= outer.tol``.  Each trace point
+    ``||beta - prox(beta - s grad)|| / s <= outer.tol``, the ``proxgrad_norm``
+    of ``FitResult.outer_trace``, whose :class:`~dagprox.diagnostics.TraceRecorder`
+    keeps every ``outer.trace_every``-th step and the last.  Each trace point
     is ``L(beta) + lam * sum_g w_g ||x_g||`` on the inner solve's latent
     ``x``, an exact decomposition of ``beta`` (``M x = beta``) that is
     optimal for its own ``beta`` up to the inner tolerance.  Trace points
@@ -274,8 +275,7 @@ def fit(
 
     # the exact prox of nested groups is a fixed point of the sharing iteration
     nested = group_set.nested_order is not None
-    trace = ConvergenceTrace()
-    t0 = time.perf_counter()
+    recorder = TraceRecorder(outer.trace_every)
 
     beta = np.zeros(d)
     point = beta.copy()
@@ -285,17 +285,8 @@ def fit(
     status = "max_iter"
     k = 0
 
-    def record(k, beta, latent, measure):
-        trace.append(
-            TraceRecord(
-                iter=k,
-                wall_s=time.perf_counter() - t0,
-                objective=loss.value(beta) + penalty_value(latent, group_set, lam),
-                primal_res=0.0,
-                dual_res=0.0,
-                proxgrad_norm=measure,
-            )
-        )
+    def values():
+        return loss.value(beta) + penalty_value(res.x, group_set, lam), 0.0, 0.0, measure
 
     for k in range(1, outer.max_iter + 1):
         # the first point is 0, where the probe took the gradient
@@ -331,14 +322,11 @@ def fit(
         else:
             point = beta_new
         beta = beta_new
-        if outer.trace_every and k % outer.trace_every == 0:
-            record(k, beta, res.x, measure)
+        recorder.record(k, values)
         if measure <= outer.tol:
             status = "converged"
             break
-
-    if outer.trace_every and trace.last_iter != k:
-        record(k, beta, res.x, measure)
+    recorder.record(k, values, final=True)
 
     support = np.flatnonzero(np.abs(beta) > SUPPORT_THRESHOLD)
     hierarchy = (
@@ -353,7 +341,7 @@ def fit(
         status=status,
         outer_iterations=k,
         inner_iters=inner_total,
-        outer_trace=trace,
+        outer_trace=recorder.trace,
         support=support,
         lam=float(lam),
         hierarchy=hierarchy,
@@ -394,11 +382,15 @@ def load_response(path) -> np.ndarray:
 def save_model(path, beta, lam, loss_type, group_set: GroupSet) -> None:
     """Plain-text model file: commented header plus beta as a CSV column.
 
-    ``beta`` must be finite with one entry per coordinate of ``group_set``;
-    a rejected call writes nothing.
+    ``beta`` must be finite with one entry per coordinate of ``group_set``
+    and ``loss_type`` one line, since :func:`load_model` reads the header
+    line by line; a rejected call writes nothing.
     """
     _check_lam(lam)
     beta = _check_vector(beta, group_set.d, "beta")
+    loss_type = str(loss_type)
+    if "\n" in loss_type or "\r" in loss_type:
+        raise ValueError(f"loss_type must be one line, got {loss_type!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# d: {len(beta)}\n")
         fh.write(f"# lambda: {lam:.17g}\n")

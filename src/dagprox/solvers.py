@@ -48,13 +48,12 @@ feasibility residual ``||x1 - x2||`` to zero at a linear rate in practice.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .diagnostics import ConvergenceTrace, TraceRecord, objective_and_proxgrad
+from .diagnostics import ConvergenceTrace, TraceRecorder, objective_and_proxgrad
 from .errors import InvalidStep, NonFiniteIterate
 from .graph import _check_int
 from .kernels import (
@@ -204,49 +203,12 @@ class ProxResult:
         return self.status == "converged"
 
 
-class _Tracer:
-    """Collects trace records at the configured stride plus the final iterate."""
-
-    def __init__(self, inst: ProxInstance, every: int):
-        self.inst = inst
-        self.every = every
-        self.trace = ConvergenceTrace()
-        self.t0 = time.perf_counter()
-
-    def record(
-        self,
-        k: int,
-        x: np.ndarray,
-        primal: float,
-        dual: float,
-        final: bool = False,
-        computed: Optional[tuple[float, float]] = None,
-    ):
-        if self.every <= 0:
-            return
-        if k % self.every and not final:
-            return
-        if self.trace.last_iter == k:
-            return
-        obj, pg = computed if computed is not None else objective_and_proxgrad(x, self.inst)[:2]
-        self.trace.append(
-            TraceRecord(
-                iter=k,
-                wall_s=time.perf_counter() - self.t0,
-                objective=obj,
-                primal_res=primal,
-                dual_res=dual,
-                proxgrad_norm=pg,
-            )
-        )
-
-
 def _check_finite(value: float, k: int, what: str) -> None:
     if not np.isfinite(value):
         raise NonFiniteIterate(f"{what} became non-finite at iteration {k}")
 
 
-def _result(inst, x, status, k, trace, state=None, beta=None) -> ProxResult:
+def _result(inst, x, status, k, trace: ConvergenceTrace, state=None, beta=None) -> ProxResult:
     """Package a solve; ``beta`` is ``M x`` when the solver already has it."""
     if beta is None:
         beta = inst.operator.apply(x)
@@ -256,7 +218,7 @@ def _result(inst, x, status, k, trace, state=None, beta=None) -> ProxResult:
         objective=objective_f(x, inst),
         status=status,
         iterations=k,
-        trace=trace.trace if isinstance(trace, _Tracer) else trace,
+        trace=trace,
         state=state,
         group_set=inst.group_set,
     )
@@ -272,9 +234,13 @@ def _descend(inst: ProxInstance, opts: SolveOptions, step: Callable, what: str) 
     ``converged`` after 0 iterations.  ``what`` names the iterate in the
     :class:`NonFiniteIterate` raised when the norm is not finite.
     """
-    tracer = _Tracer(inst, opts.trace_every)
+    recorder = TraceRecorder(opts.trace_every)
     x = np.zeros(inst.n)
     obj, measure, grad = objective_and_proxgrad(x, inst)
+
+    def values():
+        return obj, 0.0, 0.0, measure
+
     converged = measure <= opts.tol_opt
     k = 0
     while not converged and k < opts.max_iter:
@@ -283,10 +249,10 @@ def _descend(inst: ProxInstance, opts: SolveOptions, step: Callable, what: str) 
         obj, measure, grad = objective_and_proxgrad(x, inst)
         if not math.isfinite(measure):
             _check_finite(measure, k, what)
-        tracer.record(k, x, 0.0, 0.0, computed=(obj, measure))
+        recorder.record(k, values)
         converged = measure <= opts.tol_opt
-    tracer.record(k, x, 0.0, 0.0, final=True, computed=(obj, measure))
-    return _result(inst, x, "converged" if converged else "max_iter", k, tracer)
+    recorder.record(k, values, final=True)
+    return _result(inst, x, "converged" if converged else "max_iter", k, recorder.trace)
 
 
 def _extrapolate(new: np.ndarray, old: np.ndarray, t: float) -> tuple[np.ndarray, float]:
@@ -408,7 +374,11 @@ def prox_log_admm_sharing(
     c_safe = np.maximum(cover, 1.0)  # counts are integers: 1 where uncovered
     thresholds = inst.lam * gs.weights / rho
     b = inst.b
-    tracer = _Tracer(inst, opts.trace_every)
+    recorder = TraceRecorder(opts.trace_every)
+
+    def values():
+        obj, pg, _ = objective_and_proxgrad(x1, inst)
+        return obj, primal, dual_res, pg
 
     # x2_0 = x1_prev + M^T g_prev with g_prev = 0 seeds the residual recursion
     g = np.zeros(inst.d)
@@ -493,7 +463,7 @@ def prox_log_admm_sharing(
         primal = math.sqrt(cover @ (g * g))
         # only the trace and a stop test whose primal half passed read the
         # dual residual; the 0.0 placeholder reaches neither.  Either way x1
-        # is written back before the tracer reads it.
+        # is written back before the recorder reads it.
         dual_res = 0.0
         if opts.trace_every or primal <= opts.tol_primal:
             if vals_prev is not None:  # a lazy step: rebuild the previous x1
@@ -509,14 +479,14 @@ def prox_log_admm_sharing(
         if callback is not None:
             write_back()
             callback(k, x1.copy(), x1 + op.adjoint_apply(g), op.adjoint_apply(rho * w))
-        tracer.record(k, x1, primal, dual_res)
+        recorder.record(k, values)
         if primal <= opts.tol_primal and dual_res <= opts.tol_dual:
             status = "converged"
             break
     write_back()
-    tracer.record(k, x1, primal, dual_res, final=True)
+    recorder.record(k, values, final=True)
     final = SolverState._sharing(x1, g, rho * w, op)
-    return _result(inst, x1, status, k, tracer, state=final, beta=mx1)
+    return _result(inst, x1, status, k, recorder.trace, state=final, beta=mx1)
 
 
 def prox_log_admm_unscaled(

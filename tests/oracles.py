@@ -7,8 +7,8 @@ or brute-force search.
 
 The textbook BCD, PGM and sharing loops, the KKT residual and the
 warm-started fit are the exception: they call the library's operator,
-block soft-threshold, tracer and sharing solver, because they pin the
-solver, certificate and learner loops bit for bit or to rounding.  They
+block soft-threshold, trace recorder and sharing solver, because they pin
+the solver, certificate and learner loops bit for bit or to rounding.  They
 keep each loop in its plainest form, so that a loop that skips repeated
 work must still reproduce every value of it.
 """
@@ -18,6 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from dagprox.diagnostics import TraceRecorder, objective_and_proxgrad
 from dagprox.graph import build_index_map
 from dagprox.kernels import (
     ProxInstance,
@@ -30,7 +31,6 @@ from dagprox.solvers import (
     SolverState,
     _check_finite,
     _result,
-    _Tracer,
     prox_log_admm_sharing,
 )
 
@@ -203,7 +203,11 @@ def textbook_sharing(inst, opts=None, state=None):
     c_safe = np.maximum(cover, 1.0)
     thresholds = inst.lam * gs.weights / rho
     b = inst.b
-    tracer = _Tracer(inst, opts.trace_every)
+    recorder = TraceRecorder(opts.trace_every)
+
+    def values():
+        obj, pg, _ = objective_and_proxgrad(x1, inst)
+        return obj, primal, dual_res, pg
 
     g = np.zeros(inst.d)
     if state is None:
@@ -230,13 +234,13 @@ def textbook_sharing(inst, opts=None, state=None):
             dual_res = rho * math.sqrt(max(dual_sq, 0.0))
         if not math.isfinite(primal + dual_res):
             _check_finite(primal + dual_res, k, "ADMM iterate")
-        tracer.record(k, x1, primal, dual_res)
+        recorder.record(k, values)
         if primal <= opts.tol_primal and dual_res <= opts.tol_dual:
             status = "converged"
             break
-    tracer.record(k, x1, primal, dual_res, final=True)
+    recorder.record(k, values, final=True)
     final = SolverState(x1=x1, x2=x1 + op.adjoint_apply(g), y=op.adjoint_apply(rho * w))
-    return _result(inst, x1, status, k, tracer, state=final, beta=mx1)
+    return _result(inst, x1, status, k, recorder.trace, state=final, beta=mx1)
 
 
 def prox_kkt_residuals(b, lam, group_set, theta, x) -> dict:

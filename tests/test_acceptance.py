@@ -2,7 +2,8 @@
 
 The shared benchmark study (four topologies, ten seeded replications, all
 five solvers, full traces) is built once per session; run with ``-s`` or
-``-rA`` to see the per-criterion lines.
+``-rA`` to see the per-criterion lines.  The module is marked ``slow``, so
+``pytest -m "not slow"`` runs every other test.
 """
 
 import time
@@ -14,6 +15,8 @@ from click.testing import CliRunner
 import dagprox as dp
 from dagprox import bench
 from dagprox.cli import main as cli_main
+
+pytestmark = pytest.mark.slow
 
 TOPOLOGIES = ("two_layer", "binary_tree", "root_two_paths", "random_dag")
 LARGE_TOPOLOGIES = ("two_layer", "binary_tree", "root_two_paths")

@@ -136,6 +136,16 @@ class TestKktResidual:
         with pytest.raises(dp.NonFiniteInput, match=f"^{which} contains non-finite entries"):
             dp.kkt_residual(*blocks.values(), random8_instance)
 
+    @pytest.mark.parametrize("rho", [float("nan"), float("inf"), -1.0])
+    def test_bad_rho_rejected(self, rho):
+        # these read (nan, nan, 2.4e-08), (inf, inf, 2.4e-08) and (5.05, 1.22, 2.4e-08)
+        gs = dp.ancestor_groups(dp.validate_dag(3, [(0, 1), (1, 2)]))
+        inst = dp.ProxInstance(b=np.array([1.0, -0.5, 2.0]), lam=0.5, group_set=gs)
+        x1 = np.ones(inst.n)
+        with pytest.raises(ValueError, match=f"^rho must be finite and >= 0, got {rho}$"):
+            dp.kkt_residual(x1, x1 + 1e-8, np.zeros(inst.n), inst, rho=rho)
+        assert dp.kkt_residual(x1, x1, np.zeros(inst.n), inst, rho=0.0)[2] == 0.0
+
     def test_matches_the_group_loop(self, odd_group_sets):
         rng = np.random.default_rng(19)
         kinds = set()

@@ -437,6 +437,14 @@ class TestDataAndModelFiles:
             dp.learn.save_model(tmp_path / "model.txt", beta, 1.0, "least-squares", gs)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("label", ["least-squares\n3.0", "least-squares\r3.0"], ids=["lf", "cr"])
+    def test_save_model_rejects_a_multiline_loss_label(self, tmp_path, label):
+        # the first label's file failed its own load_model with "header d=2 but 3 values"
+        gs = dp.build_index_map([[0], [0, 1]], d=2)
+        with pytest.raises(ValueError, match="^loss_type must be one line"):
+            dp.learn.save_model(tmp_path / "model.txt", np.array([0.25, -1.5]), 1.0, label, gs)
+        assert list(tmp_path.iterdir()) == []
+
     def test_model_file_round_trip(self, tmp_path):
         gs = dp.build_index_map([[0], [0, 1]], d=2)
         beta = np.array([0.25, -1.5])

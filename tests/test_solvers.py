@@ -366,12 +366,35 @@ class TestSharingIterationCounts:
 
 
 class TestTracing:
-    def test_trace_every_stride_plus_final(self, small_instance):
-        opts = dp.SolveOptions(trace_every=5, max_iter=100_000)
-        res = dp.prox_log_admm_sharing(small_instance, opts)
-        iters = res.trace.iters.tolist()
-        assert iters[-1] == res.iterations
-        assert all(k % 5 == 0 for k in iters[:-1])
+    LOOPS = ("bcd", "pgm", "fista", "sharing", "fit")
+
+    # converged runs, and runs capped at 9, where the final iterate is also a
+    # stride record, and at 10, where it is not
+    @pytest.mark.parametrize(
+        "loop, cap",
+        [pytest.param(loop, None, id=loop) for loop in LOOPS]
+        + [pytest.param(loop, cap, id=f"{loop}-max_iter{cap}") for loop in LOOPS for cap in (9, 10)],
+    )
+    def test_trace_every_stride_plus_final(self, small_instance, loop, cap):
+        every = 3
+        if loop == "fit":
+            gs = small_instance.group_set
+            rng = np.random.default_rng(3)
+            loss = dp.LeastSquaresLoss(rng.standard_normal((30, gs.d)), rng.standard_normal(30))
+            outer = dp.OuterOptions(trace_every=every, max_iter=cap or 500)
+            res = dp.fit(loss, gs, 0.5, outer)
+            trace, iterations = res.outer_trace, res.outer_iterations
+        else:
+            opts = dp.SolveOptions(trace_every=every, max_iter=cap or 100_000)
+            res = dp.solve_prox(small_instance, loop, opts)
+            trace, iterations = res.trace, res.iterations
+        if cap is not None:
+            assert iterations == cap
+        iters = trace.iters
+        assert np.all(np.diff(iters) > 0)
+        assert np.all(iters[:-1] % every == 0)
+        assert iters[-1] == iterations
+        assert np.all(np.diff([r.wall_s for r in trace]) >= 0)
 
     def test_no_trace_by_default(self, small_instance):
         res = dp.prox_log_admm_sharing(small_instance)
