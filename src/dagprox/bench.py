@@ -94,25 +94,34 @@ def make_topology(
     edge_prob: float = 0.3,
     seed: int = 0,
 ) -> Dag:
-    """Build a named benchmark topology with its conventional default size."""
+    """Build a named benchmark topology with its conventional default size.
+
+    ``binary_tree`` is sized by ``depth``, every other topology by
+    ``nodes``; the size the topology does not take must stay ``None``.
+    """
+    if name == "binary_tree":
+        if nodes is not None:
+            raise ValueError("binary_tree takes depth, not nodes")
+        return binary_tree(7 if depth is None else depth)
+    if name not in ("two_layer", "root_two_paths", "random_dag"):
+        raise ValueError(f"unknown topology {name!r}")
+    if depth is not None:
+        raise ValueError(f"{name} takes nodes, not depth")
     if name == "two_layer":
         return two_layer(101 if nodes is None else nodes)
-    if name == "binary_tree":
-        return binary_tree(7 if depth is None else depth)
     if name == "root_two_paths":
         return root_two_paths(101 if nodes is None else nodes)
-    if name == "random_dag":
-        return random_dag(8 if nodes is None else nodes, edge_prob, seed)
-    raise ValueError(f"unknown topology {name!r}")
+    return random_dag(8 if nodes is None else nodes, edge_prob, seed)
 
 
 @dataclass
 class BenchmarkSpec:
     """A replication study on one topology.
 
-    Construction rejects unknown solver names, ``reps < 1``, a non-finite
-    or negative ``lam`` and, when ``sharing`` is among the solvers, ADMM
-    steps outside ``0 < alpha < rho``.  Topology parameters are checked when
+    Construction rejects an empty solver list, a solver listed twice,
+    unknown solver names, ``reps < 1``, a non-finite or negative ``lam``
+    and, when ``sharing`` is among the solvers, ADMM steps outside
+    ``0 < alpha < rho``.  Topology parameters are checked when
     :meth:`build_dag` runs, which :func:`run_benchmark` does before it
     writes anything.
     """
@@ -128,6 +137,10 @@ class BenchmarkSpec:
     options: SolveOptions = field(default_factory=lambda: SolveOptions(trace_every=1))
 
     def __post_init__(self):
+        if not self.solvers or len(set(self.solvers)) < len(self.solvers):
+            raise ValueError(
+                f"solvers must list at least one solver, each once, got {list(self.solvers)}"
+            )
         unknown = [s for s in self.solvers if s not in SOLVER_NAMES]
         if unknown:
             raise ValueError(

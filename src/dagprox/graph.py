@@ -47,6 +47,10 @@ __all__ = [
 ]
 
 
+#: a coefficient counts as nonzero, in supports and hierarchy checks, above this magnitude
+SUPPORT_THRESHOLD = 1e-8
+
+
 def _check_int(value, name: str) -> int:
     """``value`` as an ``int``; ``ValueError("… must be an integer, got …")`` unless it is one."""
     try:
@@ -373,7 +377,7 @@ def _index_map(coords: np.ndarray, sizes: np.ndarray, weights, d: int) -> GroupS
     return GroupSet(stacked_coords=coords, sizes=sizes, weights=w, d=d)
 
 
-def ancestor_groups(dag: Dag, weights=None) -> GroupSet:
+def ancestor_groups(dag: Dag) -> GroupSet:
     """One group per node: the node plus all its ancestors, in node order.
 
     Groups are built in topological order, each a sorted ``array('q')`` of
@@ -387,9 +391,9 @@ def ancestor_groups(dag: Dag, weights=None) -> GroupSet:
 
     The groups are flattened once.  Node ids sort like their coordinate
     runs, so with one variable per node the ids are the coordinates;
-    otherwise one vectorised pass expands each node to its run.  Default
-    weights are ``sqrt(|g|)`` with ``|g|`` counted in coordinates; pass
-    ``weights`` to override.
+    otherwise one vectorised pass expands each node to its run.  The
+    weights are ``sqrt(|g|)`` with ``|g|`` counted in coordinates; for
+    others, pass the groups and weights to :func:`build_index_map`.
     """
     ids = array("q", range(dag.num_nodes))
     parent_lists = dag.parent_lists
@@ -422,12 +426,12 @@ def ancestor_groups(dag: Dag, weights=None) -> GroupSet:
     sizes = np.array(sizes, dtype=np.intp)
     # each group is sorted, distinct and inside [0, d) by construction
     if dag.d == dag.num_nodes:
-        return _index_map(nodes, sizes, weights, dag.d)
+        return _index_map(nodes, sizes, None, dag.d)
     # the run of node j counts up from node_offsets[j]
     lens = np.array(dag.node_dims, dtype=np.intp)[nodes]
     coords = np.repeat(dag.node_offsets[nodes] - (np.cumsum(lens) - lens), lens)
     coords += np.arange(coords.size)
-    return _index_map(coords, np.add.reduceat(lens, np.cumsum(sizes) - sizes), weights, dag.d)
+    return _index_map(coords, np.add.reduceat(lens, np.cumsum(sizes) - sizes), None, dag.d)
 
 
 @dataclass(frozen=True)
@@ -455,7 +459,7 @@ class HierarchyReport:
 
 
 def check_hierarchy_conformance(
-    dag: Dag, beta, threshold: float = 1e-8, mode: str = "strong"
+    dag: Dag, beta, threshold: float = SUPPORT_THRESHOLD, mode: str = "strong"
 ) -> HierarchyReport:
     """Report hierarchy violations of a coefficient vector's support.
 

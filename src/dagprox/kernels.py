@@ -5,7 +5,7 @@ supported entries of all per-group latent vectors.  The binary scatter/sum
 operator ``M`` maps ``x`` to the coefficient vector ``beta = M x`` of length
 ``d`` by summing, for every coordinate, the latent copies of that
 coordinate.  ``M`` is kept implicit as gather/scatter over the group index
-ranges; a dense materialization exists for testing at small sizes only.
+ranges and never materialized.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapExceeded, DimensionMismatch, NoConvergence, NonFiniteInput
+from .errors import DimensionMismatch, NoConvergence, NonFiniteInput
 from .graph import GroupSet, _check_vector
 
 __all__ = [
@@ -32,7 +32,7 @@ __all__ = [
     "operator_norm_sq",
 ]
 
-#: largest stacked dimension for which a dense M may be materialized
+#: largest stacked dimension n at which the dense reference forms an n-by-n matrix
 DENSE_CAP = 4096
 
 #: relative duality gap at which the latent penalty evaluation stops
@@ -72,14 +72,6 @@ class SumOperator:
     def cover_counts(self) -> np.ndarray:
         """diag(M M^T): number of copies per coordinate."""
         return self.group_set.cover_counts
-
-    def dense(self) -> np.ndarray:
-        """Materialize ``M`` as a dense 0/1 matrix (testing only, n <= 4096)."""
-        if self.n > DENSE_CAP:
-            raise CapExceeded(f"dense M only for n <= {DENSE_CAP}, got n = {self.n}")
-        m = np.zeros((self.d, self.n))
-        m[self._coords, np.arange(self.n)] = 1.0
-        return m
 
 
 def _check_lam(lam: float, name: str = "lam") -> None:

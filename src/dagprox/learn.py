@@ -25,7 +25,9 @@ import numpy as np
 
 from .diagnostics import ConvergenceTrace, TraceRecorder
 from .errors import DimensionMismatch, InnerSolverWarning, NonFiniteInput
-from .graph import Dag, GroupSet, _check_vector, _parse_file, ancestor_groups, check_hierarchy_conformance
+from .graph import (
+    SUPPORT_THRESHOLD, Dag, GroupSet, _check_vector, _parse_file, ancestor_groups, check_hierarchy_conformance
+)
 from .kernels import (
     LatentPenaltyEvaluator,
     ProxInstance,
@@ -51,12 +53,12 @@ __all__ = [
     "load_model",
 ]
 
-#: a coefficient counts toward the support, and the hierarchy check, when its
-#: magnitude exceeds this
-SUPPORT_THRESHOLD = 1e-8
-
 #: iteration budget of each inner sharing-ADMM solve (rho = 1, alpha = rho / 2)
 INNER_MAX_ITER = 20_000
+
+#: the summable schedule of inner tolerances, ``max(INNER_TOL_FLOOR, INNER_TOL_COEFF / k**2)``
+INNER_TOL_COEFF = 1e-3
+INNER_TOL_FLOOR = 1e-10
 
 
 @runtime_checkable
@@ -142,21 +144,14 @@ class LogisticLoss(_DesignLoss):
 
 @dataclass
 class OuterOptions:
-    """Outer-loop controls for :func:`fit`.
-
-    The inner prox tolerance at outer iteration ``k`` is
-    ``max(inner_tol_floor, inner_tol_coeff / k**2)`` (a summable error
-    schedule), applied to the inner solver's primal and dual tolerances.
-    """
+    """Outer-loop controls for :func:`fit`; its inner tolerance schedule is fixed."""
 
     max_iter: int = 500
     tol: float = 1e-6
     trace_every: int = 1
-    inner_tol_coeff: float = 1e-3
-    inner_tol_floor: float = 1e-10
 
     def __post_init__(self):
-        _check_loop_options(self, ("tol", "inner_tol_coeff", "inner_tol_floor"))
+        _check_loop_options(self, ("tol",))
 
 
 @dataclass
@@ -236,9 +231,10 @@ def fit(
     -----
     The outer step is ``s = 1 / L`` with ``L`` the loss's Lipschitz hint; a
     loss without a finite positive hint raises ``ValueError``.  Each inner solve
-    is the sharing ADMM with ``rho = 1``, ``alpha = 1/2`` and at most
-    :data:`INNER_MAX_ITER` iterations.  The outer stopping rule is the
-    gradient-mapping norm
+    is the sharing ADMM with ``rho = 1``, ``alpha = 1/2``, at most
+    :data:`INNER_MAX_ITER` iterations and primal and dual tolerance
+    ``tol_k = max(INNER_TOL_FLOOR, INNER_TOL_COEFF / k**2)`` at step ``k``.
+    The outer stopping rule is the gradient-mapping norm
     ``||beta - prox(beta - s grad)|| / s <= outer.tol``, the ``proxgrad_norm``
     of ``FitResult.outer_trace``, whose :class:`~dagprox.diagnostics.TraceRecorder`
     keeps every ``outer.trace_every``-th step and the last.  Each trace point
@@ -259,7 +255,7 @@ def fit(
     its iteration budget raises :class:`InnerSolverWarning` and the outer
     loop continues with the inexact prox.  ``FitResult.support`` and
     ``FitResult.hierarchy`` count a coefficient as nonzero when its
-    magnitude exceeds :data:`SUPPORT_THRESHOLD` (1e-8).
+    magnitude exceeds :data:`~dagprox.graph.SUPPORT_THRESHOLD`.
     """
     _check_lam(lam)
     outer = outer or OuterOptions()
@@ -293,7 +289,7 @@ def fit(
         grad = probe if k == 1 else np.asarray(loss.gradient(point), dtype=float)
         target = point - step * grad
 
-        tol_k = max(outer.inner_tol_floor, outer.inner_tol_coeff / k**2)
+        tol_k = max(INNER_TOL_FLOOR, INNER_TOL_COEFF / k**2)
         inner_opts = SolveOptions(max_iter=INNER_MAX_ITER, tol_primal=tol_k, tol_dual=tol_k)
         prox_inst = ProxInstance(b=target, lam=step * lam, group_set=group_set, operator=op)
         if nested:
@@ -302,7 +298,7 @@ def fit(
         res = prox_log_admm_sharing(prox_inst, inner_opts, state=inner_state)
         inner_total += res.iterations
         inner_state = res.state
-        if not res.converged and tol_k <= outer.inner_tol_floor:
+        if not res.converged and tol_k <= INNER_TOL_FLOOR:
             warnings.warn(
                 f"inner prox hit max_iter={inner_opts.max_iter} at floor tolerance "
                 f"(outer iteration {k})",

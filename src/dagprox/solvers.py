@@ -54,9 +54,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .diagnostics import ConvergenceTrace, TraceRecorder, objective_and_proxgrad
-from .errors import InvalidStep, NonFiniteIterate
+from .errors import CapExceeded, InvalidStep, NonFiniteIterate
 from .graph import _check_int
 from .kernels import (
+    DENSE_CAP,
     ProxInstance,
     _segment_norms,
     _shrink_factors,
@@ -92,6 +93,9 @@ DEAD_BOUND_MARGIN = 2.0**-20
 #: iterations, which bounds the additions a certificate accumulates.
 DEAD_BOUND_MAX_AGE = 2**20
 
+#: seed of the randomized BCD's sweep orders
+RBCD_SEED = 0
+
 
 def _check_loop_options(opts, tolerances: tuple[str, ...]) -> None:
     """Loop options: integer ``max_iter >= 1`` and ``trace_every >= 0``; tolerances ``>= 0``, not NaN."""
@@ -122,18 +126,14 @@ class SolveOptions:
     tol_primal: float = 1e-8
     tol_dual: float = 1e-8
     trace_every: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         if not (math.isfinite(self.rho) and self.rho > 0):
             raise InvalidStep(f"rho must be finite and positive, got {self.rho}")
         _check_loop_options(self, ("tol_opt", "tol_primal", "tol_dual"))
 
-    def resolved_alpha(self) -> float:
-        return 0.5 * self.rho if self.alpha is None else self.alpha
-
     def require_admm_steps(self) -> float:
-        alpha = self.resolved_alpha()
+        alpha = 0.5 * self.rho if self.alpha is None else self.alpha
         if not 0 < alpha < self.rho:
             raise InvalidStep(
                 f"ADMM dual step requires 0 < alpha < rho, got alpha={alpha}, rho={self.rho}"
@@ -270,8 +270,8 @@ def prox_log_bcd(
     group's latent vector from the sum, soft-thresholds the residual
     ``b_g - beta_g`` at ``lam w_g``, and adds it back.  One iteration is a
     full sweep (epoch).  With ``randomized=True`` the sweep order is
-    reshuffled every epoch using ``opts.seed``.  Stops when the
-    proximal-gradient norm drops below ``opts.tol_opt``.
+    reshuffled every epoch by one generator seeded with :data:`RBCD_SEED`.
+    Stops when the proximal-gradient norm drops below ``opts.tol_opt``.
     """
     opts = opts or SolveOptions()
     gs = inst.group_set
@@ -280,7 +280,7 @@ def prox_log_bcd(
     ranges = gs.index_ranges
     b_segments = [inst.b[g] for g in coords]
     beta = np.zeros(inst.d)
-    rng = np.random.default_rng(opts.seed) if randomized else None
+    rng = np.random.default_rng(RBCD_SEED) if randomized else None
 
     def sweep(x, grad):
         nonlocal beta
@@ -498,7 +498,8 @@ def prox_log_admm_unscaled(
 
     The same two-block ADMM with the unscaled dual ``y += alpha (x1 - x2)``
     and the coupled block solved against a Cholesky factor of
-    ``(M^T M + rho I)``, built from the dense ``M`` on every call.  Bounded
+    ``(M^T M + rho I)``, built from the stacked coordinates on every call
+    (``M^T M`` is 1 where two stacked entries copy one coordinate).  Bounded
     by :data:`~dagprox.kernels.DENSE_CAP`; same stopping rule and callback
     as the sharing solver; no tracing and no warm start.  SciPy is imported
     here, not with the module, so that the library loads without it.
@@ -508,11 +509,13 @@ def prox_log_admm_unscaled(
     opts = opts or SolveOptions()
     alpha = opts.require_admm_steps()
     rho = opts.rho
-    m = inst.operator.dense()
-    gram = m.T @ m
+    if inst.n > DENSE_CAP:
+        raise CapExceeded(f"dense M^T M only for n <= {DENSE_CAP}, got n = {inst.n}")
+    coords = inst.group_set.stacked_coords
+    gram = np.equal.outer(coords, coords).astype(float)
     gram[np.diag_indices_from(gram)] += rho
     factor = scipy.linalg.cho_factor(gram, overwrite_a=True, check_finite=False)
-    mtb = m.T @ inst.b
+    mtb = inst.b[coords]
     thresholds = inst.lam * inst.group_set.weights / rho
 
     x2, y = np.zeros(inst.n), np.zeros(inst.n)

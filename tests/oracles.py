@@ -18,6 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from dagprox import learn
 from dagprox.diagnostics import TraceRecorder, objective_and_proxgrad
 from dagprox.graph import build_index_map
 from dagprox.kernels import (
@@ -318,7 +319,7 @@ def warm_started_fit(loss, group_set, lam, outer, inner_max_iter=20_000):
     state, inner_total = None, 0
     for k in range(1, outer.max_iter + 1):
         target = beta - step * loss.gradient(beta)
-        tol_k = max(outer.inner_tol_floor, outer.inner_tol_coeff / k**2)
+        tol_k = max(learn.INNER_TOL_FLOOR, learn.INNER_TOL_COEFF / k**2)
         res = prox_log_admm_sharing(
             ProxInstance(b=target, lam=step * lam, group_set=group_set),
             replace(inner, tol_primal=tol_k, tol_dual=tol_k),

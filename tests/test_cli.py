@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -358,6 +360,19 @@ class TestProxBenchCommand:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("solvers", [(), ("bcd", "bcd")], ids=["empty", "repeated"])
+    def test_spec_names_a_bad_solver_list(self, solvers):
+        with pytest.raises(ValueError, match=re.escape(str(list(solvers)))):
+            dp.bench.BenchmarkSpec("two_layer", solvers=solvers)
+
+    def test_topology_takes_only_its_own_size(self):
+        assert dp.bench.make_topology("binary_tree", depth=4).d == 15
+        assert dp.bench.make_topology("root_two_paths", nodes=9).d == 9
+        with pytest.raises(ValueError, match="binary_tree takes depth, not nodes"):
+            dp.bench.make_topology("binary_tree", nodes=50)
+        with pytest.raises(ValueError, match="two_layer takes nodes, not depth"):
+            dp.bench.make_topology("two_layer", depth=3)
+
 
 PROX = ["prox", "--b", "1,1,1,1"]
 FIT = ["fit", "--loss", "least-squares"]
@@ -379,6 +394,11 @@ BENCH = ["prox-bench", "--topology", "random_dag", "--nodes", "4", "--solvers", 
         FIT + ["--lambda", "0.1", "--tol", "nan"],
         BENCH + ["--lambda", "nan"],
         BENCH + ["--reps", "0"],
+        # rejected before any DAG is built or reference solved
+        ["prox-bench", "--topology", "random_dag", "--reps", "2", "--solvers", ","],
+        ["prox-bench", "--topology", "random_dag", "--reps", "1", "--solvers", "bcd,bcd"],
+        ["prox-bench", "--topology", "binary_tree", "--nodes", "50", "--reps", "1"],
+        ["prox-bench", "--topology", "two_layer", "--depth", "3", "--reps", "1"],
         # bcd runs first: a bad sharing step must stop it before any trace is written
         ["prox-bench", "--topology", "random_dag", "--nodes", "4", "--reps", "1",
          "--solvers", "bcd,sharing", "--alpha", "2"],

@@ -135,7 +135,9 @@ def _golden_group_set(name):
 
 def _assert_matches_per_node_oracle(dag, weights):
     """``ancestor_groups`` against closure sets expanded node by node to coordinates."""
-    gs = dp.ancestor_groups(dag, weights=weights)
+    gs = dp.ancestor_groups(dag)
+    if weights is not None:
+        gs = dp.build_index_map(gs.groups, weights=weights, d=gs.d)
     oracle = dp.build_index_map(
         [[c for j in sorted(s) for c in dag.node_coords(j)] for s in closure_sets(dag.num_nodes, dag.edges)],
         weights=weights, d=dag.d,

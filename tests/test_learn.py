@@ -137,12 +137,12 @@ class TestFit:
         assert np.max(np.abs(result.beta - expected)) <= 1e-8
         assert result.hierarchy is None
 
-    def test_outer_objective_monotone_with_floor_tolerance(self, small_problem):
+    def test_outer_objective_monotone_with_floor_tolerance(self, small_problem, monkeypatch):
         dag, loss = small_problem
         lam = 0.1 * dp.lambda_max(loss, dag)
-        outer = dp.OuterOptions(
-            max_iter=200, tol=1e-8, inner_tol_coeff=1e-10, inner_tol_floor=1e-10
-        )
+        monkeypatch.setattr(dp.learn, "INNER_TOL_COEFF", 1e-10)
+        monkeypatch.setattr(dp.learn, "INNER_TOL_FLOOR", 1e-10)
+        outer = dp.OuterOptions(max_iter=200, tol=1e-8)
         result = dp.fit(loss, dag, lam, outer=outer)
         objs = result.outer_trace.objectives
         assert np.all(np.diff(objs) <= 1e-8)
@@ -188,7 +188,9 @@ class TestFit:
         tree = dp.validate_dag(6, TREE_EDGES)
         lam = 0.1 * dp.lambda_max(loss, tree)
         monkeypatch.setattr(dp.learn, "INNER_MAX_ITER", 3)
-        outer = dp.OuterOptions(max_iter=5, inner_tol_coeff=0.0, inner_tol_floor=1e-10)
+        monkeypatch.setattr(dp.learn, "INNER_TOL_COEFF", 0.0)
+        monkeypatch.setattr(dp.learn, "INNER_TOL_FLOOR", 1e-10)
+        outer = dp.OuterOptions(max_iter=5)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             dp.fit(loss, tree, lam, outer=outer)
@@ -240,9 +242,7 @@ class TestFit:
     @pytest.mark.parametrize(
         "field, value",
         [("max_iter", 0), ("max_iter", -1), ("tol", -1.0), ("tol", float("nan")),
-         ("trace_every", -1), ("inner_tol_coeff", -1.0), ("inner_tol_coeff", float("nan")),
-         ("inner_tol_floor", -1.0), ("inner_tol_floor", float("nan")),
-         ("max_iter", 2.5), ("max_iter", float("nan")), ("trace_every", 1.5)],
+         ("trace_every", -1), ("max_iter", 2.5), ("max_iter", float("nan")), ("trace_every", 1.5)],
     )
     def test_bad_outer_options_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -345,7 +345,6 @@ class TestChainRecoveryFixture:
         # C = 32 is the bound for inexact steps.
         dag, loss, sweep = chain_path
         groups = dp.ancestor_groups(dag)
-        outer = dp.OuterOptions()
         for lam, result, points in sweep:
             records = result.outer_trace.records
             assert len(records) == len(points) == result.outer_iterations
@@ -353,7 +352,7 @@ class TestChainRecoveryFixture:
             for rec, beta in zip(records, points):
                 certified = loss.value(beta) + evaluator.value(beta, lam)
                 gap = (rec.objective - certified) / max(1.0, abs(certified))
-                tol_k = max(outer.inner_tol_floor, outer.inner_tol_coeff / rec.iter**2)
+                tol_k = max(dp.learn.INNER_TOL_FLOOR, dp.learn.INNER_TOL_COEFF / rec.iter**2)
                 assert gap >= -1e-9
                 assert gap <= 32.0 * tol_k
 

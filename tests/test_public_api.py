@@ -39,6 +39,21 @@ def test_package_exports_resolve_once():
     assert len(dp.__all__) == len(set(dp.__all__))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: dp.SolveOptions(seed=1), lambda: dp.OuterOptions(inner_tol_coeff=0.0),
+     lambda: dp.OuterOptions(inner_tol_floor=0.0),
+     lambda: dp.ancestor_groups(dp.validate_dag(1, []), weights=[1.0])],
+    ids=["SolveOptions(seed=)", "OuterOptions(inner_tol_coeff=)", "OuterOptions(inner_tol_floor=)",
+         "ancestor_groups(weights=)"],
+)
+def test_fixed_settings_take_no_keyword(call):
+    # the randomized BCD seed, the inner tolerance schedule and the ancestor
+    # group weights are module constants or build_index_map's job
+    with pytest.raises(TypeError):
+        call()
+
+
 # the README quick-tour DAG and a point on its support
 QUICK_TOUR = dp.ancestor_groups(dp.validate_dag(4, [(0, 2), (1, 2), (1, 3)]))
 BETA = np.array([1.0, -2.0, 0.5, 3.0])

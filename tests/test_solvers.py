@@ -191,7 +191,7 @@ class TestOptionsAndErrors:
             ADMM_SOLVERS[method](small_instance, opts)
 
     def test_default_alpha_is_half_rho(self):
-        assert dp.SolveOptions(rho=2.0).resolved_alpha() == 1.0
+        assert dp.SolveOptions(rho=2.0).require_admm_steps() == 1.0
 
     def test_factor_cap(self):
         n = dp.kernels.DENSE_CAP + 1
@@ -228,16 +228,20 @@ class TestOptionsAndErrors:
 
 
 class TestRandomizedBcd:
-    def test_seed_determinism(self, small_instance):
-        opts = dp.SolveOptions(seed=9, max_iter=20_000)
+    def test_seed_determinism(self, small_instance, monkeypatch):
+        monkeypatch.setattr(dp.solvers, "RBCD_SEED", 9)
+        opts = dp.SolveOptions(max_iter=20_000)
         r1 = dp.prox_log_bcd(small_instance, opts, randomized=True)
         r2 = dp.prox_log_bcd(small_instance, opts, randomized=True)
         assert np.array_equal(r1.beta, r2.beta)
         assert r1.iterations == r2.iterations
 
-    def test_different_seed_same_solution(self, small_instance):
-        a = dp.prox_log_bcd(small_instance, dp.SolveOptions(seed=1, max_iter=20_000), randomized=True)
-        b = dp.prox_log_bcd(small_instance, dp.SolveOptions(seed=2, max_iter=20_000), randomized=True)
+    def test_different_seed_same_solution(self, small_instance, monkeypatch):
+        opts = dp.SolveOptions(max_iter=20_000)
+        monkeypatch.setattr(dp.solvers, "RBCD_SEED", 1)
+        a = dp.prox_log_bcd(small_instance, opts, randomized=True)
+        monkeypatch.setattr(dp.solvers, "RBCD_SEED", 2)
+        b = dp.prox_log_bcd(small_instance, opts, randomized=True)
         assert abs(a.objective - b.objective) <= 1e-9 * max(1.0, abs(a.objective))
 
 
@@ -412,11 +416,11 @@ class TestTextbookLoops:
     MAX_ITER = 3000
     TOL = 1e-10
 
-    # case: (solver name, SolveOptions fields, textbook loop, its keywords)
+    # case: (solver name, solvers constants it patches, textbook loop, its keywords)
     CASES = {
         "bcd": ("bcd", {}, textbook_bcd, {}),
-        "rbcd-seed0": ("rbcd", {"seed": 0}, textbook_bcd, {"randomized": True, "seed": 0}),
-        "rbcd-seed1": ("rbcd", {"seed": 1}, textbook_bcd, {"randomized": True, "seed": 1}),
+        "rbcd-seed0": ("rbcd", {}, textbook_bcd, {"randomized": True, "seed": 0}),
+        "rbcd-seed1": ("rbcd", {"RBCD_SEED": 1}, textbook_bcd, {"randomized": True, "seed": 1}),
         "pgm": ("pgm", {}, textbook_pgm, {}),
         "fista": ("fista", {}, textbook_pgm, {"accelerated": True}),
     }
@@ -430,11 +434,13 @@ class TestTextbookLoops:
     @pytest.mark.parametrize(
         "instance", ["small_instance", "chain_instance", "two_layer_instance"]
     )
-    def test_bit_identical_to_textbook(self, case, cap, instance, request):
+    def test_bit_identical_to_textbook(self, case, cap, instance, request, monkeypatch):
         inst = request.getfixturevalue(instance)
-        method, fields, textbook, keywords = self.CASES[case]
+        method, patches, textbook, keywords = self.CASES[case]
+        for name, value in patches.items():
+            monkeypatch.setattr(dp.solvers, name, value)
         max_iter, tol = (self.MAX_ITER, self.TOL) if cap is None else (cap, 0.0)
-        opts = dp.SolveOptions(max_iter=max_iter, tol_opt=tol, trace_every=1, **fields)
+        opts = dp.SolveOptions(max_iter=max_iter, tol_opt=tol, trace_every=1)
         res = dp.solve_prox(inst, method, opts)
         iters, x, records = textbook(inst, max_iter, tol, **keywords)
         assert res.iterations == iters
