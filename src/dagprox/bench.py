@@ -56,8 +56,8 @@ def binary_tree(depth: int) -> Dag:
     if _check_int(depth, "depth") < 1:
         raise ValueError("binary_tree needs depth >= 1")
     n = 2**depth - 1
-    edges = [((c - 1) // 2, c) for c in range(1, n)]
-    return validate_dag(n, edges)
+    children = range(1, n)
+    return validate_dag(n, zip([(c - 1) // 2 for c in children], children))
 
 
 def root_two_paths(d: int) -> Dag:

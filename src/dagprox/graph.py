@@ -84,7 +84,9 @@ class Dag:
     node_dims : tuple of int
         Variables per node; the ambient dimension is ``d = sum(node_dims)``.
     topo_order : tuple of int
-        A cached topological order of the nodes.
+        A cached topological order of the nodes: the index order when every
+        edge points from a lower id to a higher one, Kahn's FIFO order
+        otherwise.
     parent_lists : tuple of tuple of int
         The parents of every node, in edge order; read through :meth:`parents`.
     """
@@ -106,18 +108,31 @@ class Dag:
         dims = np.array(self.node_dims, dtype=np.intp)
         return np.cumsum(dims) - dims
 
+    def _check_node(self, node) -> int:
+        """``node`` as an ``int`` id in ``[0, num_nodes)``; negative ids do not wrap."""
+        node = _check_int(node, "node")
+        if not 0 <= node < self.num_nodes:
+            raise IndexOutOfRange(f"node {node} outside [0, {self.num_nodes})")
+        return node
+
     def node_coords(self, node: int) -> range:
         """Coordinate indices occupied by ``node``."""
+        node = self._check_node(node)
         start = self.node_offsets[node]
         return range(start, start + self.node_dims[node])
 
     def parents(self, node: int) -> tuple[int, ...]:
         """Immediate parents of ``node``, in edge order."""
-        return self.parent_lists[node]
+        return self.parent_lists[self._check_node(node)]
 
 
 def validate_dag(num_nodes, edges, node_dims=None) -> Dag:
     """Check an edge list and return a :class:`Dag` with a cached topological order.
+
+    When every edge points from a lower id to a higher one, the index order
+    is topological and proves the graph acyclic, so it is the order kept.
+    Otherwise the order is Kahn's, with a FIFO queue seeded by the sources
+    in index order; a node it never reaches lies on a cycle.
 
     Parameters
     ----------
@@ -147,8 +162,11 @@ def validate_dag(num_nodes, edges, node_dims=None) -> Dag:
         raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
 
     ordered_edges: dict[tuple[int, int], None] = {}  # a set that keeps insertion order
-    succ: list[list[int]] = [[] for _ in range(num_nodes)]
-    preds: list[list[int]] = [[] for _ in range(num_nodes)]
+    # A node's first parent is stored as the 1-tuple it keeps; a list is made
+    # only at a second parent, so a tree builds no list per node for the
+    # garbage collector to scan and promote.
+    preds: list[tuple[int, ...] | list[int]] = [()] * num_nodes
+    forward = True  # every edge so far points from a lower id to a higher one
     for e in edges:
         try:
             u, v = e
@@ -166,8 +184,15 @@ def validate_dag(num_nodes, edges, node_dims=None) -> Dag:
         if edge in ordered_edges:
             raise DuplicateEdge(f"edge ({u}, {v}) appears more than once")
         ordered_edges[edge] = None
-        succ[u].append(v)
-        preds[v].append(u)
+        p = preds[v]
+        if not p:
+            preds[v] = (u,)
+        elif isinstance(p, tuple):
+            preds[v] = [*p, u]
+        else:
+            p.append(u)
+        if u >= v:
+            forward = False
 
     if node_dims is None:
         dims = (1,) * num_nodes
@@ -180,23 +205,28 @@ def validate_dag(num_nodes, edges, node_dims=None) -> Dag:
         if any(k < 1 for k in dims):
             raise DimensionMismatch("node_dims entries must be positive")
 
-    # Kahn's algorithm; a leftover node means a cycle (self-loops included).
-    indeg = [len(p) for p in preds]
-    order = [i for i in range(num_nodes) if indeg[i] == 0]
-    for u in order:  # the order grows while it is read: it is the FIFO queue
-        for v in succ[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                order.append(v)
-    if len(order) != num_nodes:
-        raise CycleDetected("edge set contains a directed cycle")
+    if forward:  # the index order is topological, so there is no cycle
+        order = range(num_nodes)
+    else:  # Kahn's algorithm; a leftover node means a cycle (self-loops included)
+        succ: list[list[int]] = [[] for _ in range(num_nodes)]
+        for u, v in ordered_edges:
+            succ[u].append(v)
+        indeg = [len(p) for p in preds]
+        order = [i for i in range(num_nodes) if indeg[i] == 0]
+        for u in order:  # the order grows while it is read: it is the FIFO queue
+            for v in succ[u]:
+                indeg[v] -= 1
+                if indeg[v] == 0:
+                    order.append(v)
+        if len(order) != num_nodes:
+            raise CycleDetected("edge set contains a directed cycle")
 
     return Dag(
         num_nodes=num_nodes,
         edges=tuple(ordered_edges),
         node_dims=dims,
         topo_order=tuple(order),
-        parent_lists=tuple(map(tuple, preds)),
+        parent_lists=tuple(map(tuple, preds)),  # a tuple passes through as itself
     )
 
 
@@ -381,10 +411,11 @@ def ancestor_groups(dag: Dag) -> GroupSet:
     """One group per node: the node plus all its ancestors, in node order.
 
     Groups are built in topological order, each a sorted ``array('q')`` of
-    node ids made from its parents' groups; arrays, unlike lists, are not
-    tracked by the garbage collector while the build runs.  A node with one
-    parent inserts its id into a copy of the parent's group, at the end
-    when the ids are topological.  A node with several parents takes the
+    node ids made from its parents' groups; arrays, unlike lists, hold
+    their ids unboxed, 8 B each.  A node with one
+    parent appends its id to a copy of the parent's group when it is the
+    largest id there, as when the ids are topological, and otherwise
+    inserts it at its sorted place.  A node with several parents takes the
     C-level union of their ancestor sets, each built once.  The parents are
     visited largest group first, so one already in the union, an ancestor
     of another parent, is skipped.
@@ -404,8 +435,11 @@ def ancestor_groups(dag: Dag) -> GroupSet:
         ps = parent_lists[i]
         if len(ps) == 1:
             g = groups[ps[0]]
-            k = bisect_left(g, i)
-            g = g + ids[i:i + 1] if k == len(g) else g[:k] + ids[i:i + 1] + g[k:]
+            if g[-1] < i:
+                g = g + ids[i:i + 1]
+            else:
+                k = bisect_left(g, i)
+                g = g[:k] + ids[i:i + 1] + g[k:]
         elif ps:
             s = set()  # empty, so the first union takes CPython's copying fast path
             for p in sorted(ps, key=sizes.__getitem__, reverse=True):
@@ -488,7 +522,7 @@ def check_hierarchy_conformance(
     nz_set = set(nz)
     violations: list[HierarchyViolation] = []
     for i in nz:
-        ps = dag.parents(i)
+        ps = dag.parent_lists[i]
         if not ps:
             continue
         zero_parents = tuple(p for p in ps if p not in nz_set)

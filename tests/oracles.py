@@ -14,6 +14,7 @@ work must still reproduce every value of it.
 """
 
 import math
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -56,6 +57,29 @@ def closure_sets(num_nodes, edges) -> list[set[int]]:
     for _ in range(int(np.ceil(np.log2(max(num_nodes, 2)))) + 1):
         reach = reach | (reach @ reach)
     return [set(np.flatnonzero(reach[i]).tolist()) for i in range(num_nodes)]
+
+
+def kahn_fifo_order(num_nodes, edges) -> tuple[int, ...]:
+    """Kahn's algorithm over successor lists, with a FIFO queue seeded by the sources in index order.
+
+    A node on a cycle, or below one, never enters the queue, so the order
+    is short exactly when the graph has a cycle.
+    """
+    succ = [[] for _ in range(num_nodes)]
+    indegree = [0] * num_nodes
+    for u, v in edges:
+        succ[u].append(v)
+        indegree[v] += 1
+    queue = deque(i for i in range(num_nodes) if indegree[i] == 0)
+    order = []
+    while queue:
+        u = queue.popleft()
+        order.append(u)
+        for v in succ[u]:
+            indegree[v] -= 1
+            if indegree[v] == 0:
+                queue.append(v)
+    return tuple(order)
 
 
 def edge_scan_parents(num_nodes, edges) -> list[tuple[int, ...]]:

@@ -3,9 +3,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import dagprox as dp
-from oracles import closure_sets, edge_scan_parents, textbook_hierarchy, textbook_restrict
+from oracles import (
+    closure_sets,
+    edge_scan_parents,
+    kahn_fifo_order,
+    textbook_hierarchy,
+    textbook_restrict,
+)
 
 
 @pytest.fixture
@@ -27,6 +35,11 @@ class TestValidateDag:
     def test_self_loop_rejected(self):
         with pytest.raises(dp.CycleDetected):
             dp.validate_dag(2, [(0, 0)])
+
+    def test_reversed_chain_keeps_kahns_order(self):
+        # every edge points from a higher id to a lower one, so no index order holds
+        dag = dp.validate_dag(6, [(i + 1, i) for i in range(5)])
+        assert dag.topo_order == (5, 4, 3, 2, 1, 0)
 
     def test_fig1b_shape(self, fig1b):
         assert fig1b.num_nodes == 4
@@ -90,14 +103,35 @@ class TestValidateDag:
         assert dag.node_offsets.tolist() == [0, 2, 5]
         assert [dag.node_coords(i) for i in range(3)] == [range(0, 2), range(2, 5), range(5, 6)]
 
+    @pytest.mark.parametrize(
+        "node, error, message",
+        [(-1, dp.IndexOutOfRange, r"^node -1 outside \[0, 3\)$"),
+         (3, dp.IndexOutOfRange, r"^node 3 outside \[0, 3\)$"),
+         (1.5, ValueError, "^node must be an integer, got 1.5$"),
+         ("1", ValueError, "^node must be an integer, got '1'$")],
+        ids=["negative", "past the end", "float", "str"],
+    )
+    def test_node_ids_are_checked(self, node, error, message):
+        # -1 read the last node, 3 raised a bare IndexError
+        dag = dp.validate_dag(3, [(0, 1), (1, 2)], node_dims=[1, 2, 1])
+        for query in (dag.parents, dag.node_coords):
+            with pytest.raises(error, match=message):
+                query(node)
+
+    def test_a_bool_node_id_reads_as_its_int(self):
+        # node_coords(True) raised a numpy TypeError; parents(True) already read node 1
+        dag = dp.validate_dag(3, [(0, 1), (1, 2)], node_dims=[1, 2, 1])
+        assert (dag.parents(True), dag.node_coords(True)) == ((0,), range(1, 3))
+
     def test_d_is_computed_once(self):
         dag = dp.validate_dag(3, [(0, 1)], node_dims=[2, 3, 1])
         assert dag.d == 6
         assert vars(dag)["d"] == 6
 
-    @pytest.mark.parametrize("depth", range(1, 9))
+    @pytest.mark.parametrize("depth", range(1, 14))
     def test_binary_tree_edges_match_the_parent_scan(self, depth):
-        # the edge list, in child order, equals a scan of every parent's two children
+        # the edges, in child order, equal a scan of every parent's two children;
+        # depth 13 is the tree of the prox_tree benchmark
         n = 2**depth - 1
         edges = [(p, c) for p in range(n) for c in (2 * p + 1, 2 * p + 2) if c < n]
         tree, scanned = dp.bench.binary_tree(depth), dp.validate_dag(n, edges)
@@ -145,6 +179,38 @@ def _assert_matches_per_node_oracle(dag, weights):
     assert np.array_equal(gs.stacked_coords, oracle.stacked_coords)
     assert np.array_equal(gs.sizes, oracle.sizes)
     assert gs.content_hash() == oracle.content_hash()
+
+
+@st.composite
+def forward_dags(draw):
+    """``(num_nodes, edges, node_dims)``: 1 to 40 nodes of 1 to 3 variables, every edge ``u < v``."""
+    n = draw(st.integers(1, 40))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    edges = list(dict.fromkeys((min(p), max(p)) for p in pairs if p[0] != p[1]))
+    return n, edges, draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+
+
+class TestGeneratedDags:
+    @given(forward_dags(), st.data())
+    def test_orders_parents_groups_and_cycles_match_the_oracles(self, spec, data):
+        n, forward_edges, dims = spec
+        perm = data.draw(st.permutations(range(n)))
+        relabelled = [(perm[u], perm[v]) for u, v in forward_edges]
+        for edges in (forward_edges, relabelled):
+            dag = dp.validate_dag(n, edges, dims)
+            # the index order when it is topological, Kahn's FIFO order otherwise
+            if all(u < v for u, v in edges):
+                assert dag.topo_order == tuple(range(n))
+            else:
+                assert dag.topo_order == kahn_fifo_order(n, edges)
+            assert list(dag.parent_lists) == edge_scan_parents(n, edges)
+            _assert_matches_per_node_oracle(dag, None)
+            # an edge from a node to one of its ancestors, or to itself, closes a cycle
+            child = data.draw(st.integers(0, n - 1))
+            ancestor = data.draw(st.sampled_from(sorted(closure_sets(n, edges)[child])))
+            at = data.draw(st.integers(0, len(edges)))
+            with pytest.raises(dp.CycleDetected):
+                dp.validate_dag(n, edges[:at] + [(child, ancestor)] + edges[at:], dims)
 
 
 class TestGroups:

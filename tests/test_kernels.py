@@ -116,7 +116,7 @@ class TestGroupSoftThreshold:
         st.lists(st.floats(-50, 50), min_size=1, max_size=6),
         st.floats(0, 20),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_nonexpansive(self, u, v, t):
         k = min(len(u), len(v))
         a, b = np.array(u[:k]), np.array(v[:k])
