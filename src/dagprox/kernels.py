@@ -170,15 +170,17 @@ def _nested_blocks(v, t_sq, group_set, cap):
     shell = m - group_set.cover_counts
     energy = np.cumsum(np.bincount(shell, weights=v * v, minlength=m + 1)[:m])
     c = np.full(m + 1, cap)
-    no_gain = np.full(m, np.inf)  # the ratio where a shell adds no energy
     ends = []
     p, e_p, t_sq_p, c_p = 0, 0.0, 0.0, 0.0
     while p < m:
-        gain = energy[p:] - e_p
-        ratio = no_gain[p:].copy()
-        np.divide(t_sq[p:] - t_sq_p, gain, out=ratio, where=gain > 0)
+        # a running sum of squares never decreases, so the groups that add
+        # energy after p are the suffix from q
+        q = int(energy.searchsorted(e_p, side="right"))
+        if q == m:
+            break
+        ratio = (t_sq[q:] - t_sq_p) / (energy[q:] - e_p)
         k = m - 1 - int(ratio[::-1].argmin())
-        least = float(ratio[k - p])
+        least = float(ratio[k - q])
         if least >= cap:
             break
         # exactly, c increases from block to block; max() keeps rounding from

@@ -3,14 +3,14 @@
 Solves ``min_beta L(beta) + lam * Omega(beta)`` where ``L`` is a smooth
 loss with Lipschitz gradient and ``Omega`` the latent overlapping group
 penalty.  Each outer step is ``beta <- prox_{s lam Omega}(beta - s grad)``
-with ``s = 1 / L``; the prox is evaluated by the sharing ADMM under a
-summable tolerance schedule.  When the groups are nested (a chain's
-ancestor groups), each solve is warm-started from the exact
-prox of :func:`~dagprox.kernels.nested_prox`, a fixed point of the ADMM
-that its stopping test certifies in one iteration.  Otherwise it is
-warm-started from the previous step's latent decomposition and dual.  The
-accelerated variant restarts its momentum when it points against the
-gradient mapping.
+with ``s = 1 / L``.  When the groups are nested (a chain's ancestor
+groups), every step takes the exact prox of
+:func:`~dagprox.kernels.nested_prox`; only the step that ends the fit runs
+the sharing ADMM, from that exact pair, a fixed point that its stopping
+test certifies in one iteration.  Otherwise each prox is evaluated by the
+sharing ADMM under a summable tolerance schedule, warm-started from the
+previous step's latent decomposition and dual.  The accelerated variant
+restarts its momentum when it points against the gradient mapping.
 """
 
 from __future__ import annotations
@@ -234,26 +234,30 @@ def fit(
     is the sharing ADMM with ``rho = 1``, ``alpha = 1/2``, at most
     :data:`INNER_MAX_ITER` iterations and primal and dual tolerance
     ``tol_k = max(INNER_TOL_FLOOR, INNER_TOL_COEFF / k**2)`` at step ``k``.
+    On nested groups every step is the exact prox of
+    :func:`~dagprox.kernels.nested_prox` instead, and only the last step
+    (converged, or the ``outer.max_iter``-th) runs one inner solve, started
+    from that prox's primal-dual pair; it stops after one iteration unless
+    rounding exceeds ``tol_k``, and ``fit`` returns its β.  So on nested
+    groups ``FitResult.inner_iters`` counts that certifying solve's
+    iterations, and otherwise the iterations of every step's solve.
     The outer stopping rule is the gradient-mapping norm
     ``||beta - prox(beta - s grad)|| / s <= outer.tol``, the ``proxgrad_norm``
     of ``FitResult.outer_trace``, whose :class:`~dagprox.diagnostics.TraceRecorder`
     keeps every ``outer.trace_every``-th step and the last.  Each trace point
-    is ``L(beta) + lam * sum_g w_g ||x_g||`` on the inner solve's latent
+    is ``L(beta) + lam * sum_g w_g ||x_g||`` on the prox's latent
     ``x``, an exact decomposition of ``beta`` (``M x = beta``) that is
     optimal for its own ``beta`` up to the inner tolerance.  Trace points
     are therefore upper bounds on ``L(beta) + lam * Omega(beta)``, tight to
     the inner tolerance schedule; early points may exceed it by up to
-    about ``tol_k``.  On nested groups each inner solve starts from the
-    exact prox (:func:`~dagprox.kernels.nested_prox`) and stops after one
-    iteration unless rounding exceeds ``tol_k``, so ``FitResult.inner_iters``
-    counts one sharing iteration per outer step and the trace points are
-    exact.  ``FitResult.objective`` takes ``Omega`` from
+    about ``tol_k``.  On nested groups the trace points are exact to
+    rounding.  ``FitResult.objective`` takes ``Omega`` from
     :class:`LatentPenaltyEvaluator` on the final ``beta``: exact on nested
     groups, otherwise the penalty of a feasible decomposition within
     ``PENALTY_TOL`` (relative) of a dual lower bound, started from the
-    inner latent.  An inner solve that exhausts
-    its iteration budget raises :class:`InnerSolverWarning` and the outer
-    loop continues with the inexact prox.  ``FitResult.support`` and
+    prox's latent.  An inner solve that exhausts its iteration budget at the
+    floor tolerance raises :class:`InnerSolverWarning`, and the outer loop
+    continues with the inexact prox.  ``FitResult.support`` and
     ``FitResult.hierarchy`` count a coefficient as nonzero when its
     magnitude exceeds :data:`~dagprox.graph.SUPPORT_THRESHOLD`.
     """
@@ -269,7 +273,6 @@ def fit(
         raise ValueError(f"loss gives no finite positive Lipschitz hint, got {lipschitz}")
     step = 1.0 / lipschitz
 
-    # the exact prox of nested groups is a fixed point of the sharing iteration
     nested = group_set.nested_order is not None
     recorder = TraceRecorder(outer.trace_every)
 
@@ -282,33 +285,43 @@ def fit(
     k = 0
 
     def values():
-        return loss.value(beta) + penalty_value(res.x, group_set, lam), 0.0, 0.0, measure
+        return loss.value(beta) + penalty_value(latent, group_set, lam), 0.0, 0.0, measure
+
+    def inner_prox(state):
+        """The sharing ADMM at step ``k``'s tolerance, warm-started from ``state``."""
+        nonlocal inner_total
+        tol_k = max(INNER_TOL_FLOOR, INNER_TOL_COEFF / k**2)
+        opts = SolveOptions(max_iter=INNER_MAX_ITER, tol_primal=tol_k, tol_dual=tol_k)
+        res = prox_log_admm_sharing(prox_inst, opts, state=state)
+        inner_total += res.iterations
+        if not res.converged and tol_k <= INNER_TOL_FLOOR:
+            warnings.warn(
+                f"inner prox hit max_iter={opts.max_iter} at floor tolerance "
+                f"(outer iteration {k})",
+                InnerSolverWarning,
+            )
+        return res
 
     for k in range(1, outer.max_iter + 1):
         # the first point is 0, where the probe took the gradient
         grad = probe if k == 1 else np.asarray(loss.gradient(point), dtype=float)
         target = point - step * grad
-
-        tol_k = max(INNER_TOL_FLOOR, INNER_TOL_COEFF / k**2)
-        inner_opts = SolveOptions(max_iter=INNER_MAX_ITER, tol_primal=tol_k, tol_dual=tol_k)
         prox_inst = ProxInstance(b=target, lam=step * lam, group_set=group_set, operator=op)
         if nested:
-            theta, _, x = nested_prox(prox_inst)
-            inner_state = SolverState(x1=x, x2=x, y=-op.adjoint_apply(theta))
-        res = prox_log_admm_sharing(prox_inst, inner_opts, state=inner_state)
-        inner_total += res.iterations
-        inner_state = res.state
-        if not res.converged and tol_k <= INNER_TOL_FLOOR:
-            warnings.warn(
-                f"inner prox hit max_iter={inner_opts.max_iter} at floor tolerance "
-                f"(outer iteration {k})",
-                InnerSolverWarning,
-            )
-        beta_new = res.beta
+            theta, beta_new, latent = nested_prox(prox_inst)
+        else:
+            res = inner_prox(inner_state)
+            inner_state, beta_new, latent = res.state, res.beta, res.x
 
         # gradient-mapping norm ||point - prox(point - s grad)|| / s at the
         # extrapolation point; zero exactly at minimizers
         measure = float(np.linalg.norm(point - beta_new) / step)
+        stop = measure <= outer.tol
+        if nested and (stop or k == outer.max_iter):
+            # the exact prox is a fixed point of the sharing iteration: certify
+            # the step the fit returns, from the closed form's primal-dual pair
+            res = inner_prox(SolverState(x1=latent, x2=latent, y=-op.adjoint_apply(theta)))
+            beta_new, latent = res.beta, res.x
         if accelerated:
             # gradient restart (O'Donoghue & Candes 2015): drop the momentum
             # once it points against the gradient mapping
@@ -319,7 +332,7 @@ def fit(
             point = beta_new
         beta = beta_new
         recorder.record(k, values)
-        if measure <= outer.tol:
+        if stop:
             status = "converged"
             break
     recorder.record(k, values, final=True)
@@ -330,7 +343,7 @@ def fit(
         if dag is not None
         else None
     )
-    penalty = LatentPenaltyEvaluator(group_set).value(beta, lam, latent_hint=res.x)
+    penalty = LatentPenaltyEvaluator(group_set).value(beta, lam, latent_hint=latent)
     return FitResult(
         beta=beta,
         objective=loss.value(beta) + penalty,

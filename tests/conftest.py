@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,17 @@ import dagprox as dp
 # every run draws the same examples, so a red property test is red on every run
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
+
+# Hypothesis imports libcst to print a patch for a failing example.  libcst
+# 1.0.1 warns at import that mypy_extensions.TypedDict is deprecated, and the
+# DeprecationWarning filter would turn that into an INTERNALERROR that ends the
+# session.  Import it once here with only that warning ignored.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning)
+    try:
+        import libcst  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture(scope="session")

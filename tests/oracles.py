@@ -6,11 +6,12 @@ boolean matrix squaring, and penalties are evaluated by direct summation
 or brute-force search.
 
 The textbook BCD, PGM and sharing loops, the KKT residual and the
-warm-started fit are the exception: they call the library's operator,
-block soft-threshold, trace recorder and sharing solver, because they pin
-the solver, certificate and learner loops bit for bit or to rounding.  They
-keep each loop in its plainest form, so that a loop that skips repeated
-work must still reproduce every value of it.
+warm-started and stepwise-certified fits are the exception: they call the
+library's operator, block soft-threshold, trace recorder, sharing solver,
+closed-form nested prox and penalty evaluator, because they pin the solver,
+certificate and learner loops bit for bit or to rounding.  They keep each
+loop in its plainest form, so that a loop that skips repeated work must
+still reproduce every value of it.
 """
 
 import math
@@ -23,8 +24,10 @@ from dagprox import learn
 from dagprox.diagnostics import TraceRecorder, objective_and_proxgrad
 from dagprox.graph import build_index_map
 from dagprox.kernels import (
+    LatentPenaltyEvaluator,
     ProxInstance,
     blockwise_soft_threshold,
+    nested_prox,
     operator_norm_sq,
     penalty_value,
 )
@@ -355,6 +358,47 @@ def warm_started_fit(loss, group_set, lam, outer, inner_max_iter=20_000):
         if measure <= outer.tol:
             break
     return beta, k, inner_total
+
+
+def stepwise_certified_fit(loss, group_set, lam, outer, accelerated=False):
+    """Proximal gradient on nested groups whose every prox is one certifying sharing iteration.
+
+    Each step starts the sharing ADMM from :func:`nested_prox`'s exact pair,
+    ``x1 = x2 = x`` and ``y = -M^T theta``, at ``learn.fit``'s tolerance
+    schedule, and steps to the β it returns.  The step, momentum restart and
+    stopping rule are ``learn.fit``'s; there is no trace.  Returns ``(beta,
+    status, outer_iterations, inner_iterations, objective)``, the objective
+    taking Ω from the evaluator as ``fit`` does.
+    """
+    step = 1.0 / loss.lipschitz_hint()
+    beta = np.zeros(group_set.d)
+    point, t = beta.copy(), 1.0
+    status, inner_total = "max_iter", 0
+    for k in range(1, outer.max_iter + 1):
+        inst = ProxInstance(b=point - step * loss.gradient(point), lam=step * lam, group_set=group_set)
+        theta, _, x = nested_prox(inst)
+        tol_k = max(learn.INNER_TOL_FLOOR, learn.INNER_TOL_COEFF / k**2)
+        res = prox_log_admm_sharing(
+            inst,
+            SolveOptions(max_iter=learn.INNER_MAX_ITER, tol_primal=tol_k, tol_dual=tol_k),
+            state=SolverState(x1=x, x2=x, y=-inst.operator.adjoint_apply(theta)),
+        )
+        inner_total += res.iterations
+        measure = np.linalg.norm(point - res.beta) / step
+        if accelerated:
+            if np.dot(point - res.beta, res.beta - beta) > 0:
+                t = 1.0
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t**2))
+            point = res.beta + ((t - 1.0) / t_next) * (res.beta - beta)
+            t = t_next
+        else:
+            point = res.beta
+        beta = res.beta
+        if measure <= outer.tol:
+            status = "converged"
+            break
+    penalty = LatentPenaltyEvaluator(group_set).value(beta, lam, latent_hint=res.x)
+    return beta, status, k, inner_total, loss.value(beta) + penalty
 
 
 def latent_penalty_bracket(beta, group_set, rel_gap=1e-10, max_iter=200_000):

@@ -72,6 +72,15 @@ class TestProxCommand:
         oracle = dp.prox_log_bcd(inst, dp.SolveOptions(max_iter=200_000, tol_opt=1e-12))
         assert np.max(np.abs(parse_column(result.output) - oracle.beta)) <= 1e-8
 
+    def test_unconverged_prox_warns_on_stderr(self, runner, fig1b_graph):
+        result = runner.invoke(
+            main, ["prox", "--graph", str(fig1b_graph), "--b", "0.3,-1.2,0.8,2.0",
+                   "--lambda", "0.5", "--max-iter", "1"]
+        )
+        assert result.exit_code == 0, result.output
+        assert result.stderr == "warning: sharing hit max_iter=1\n"
+        assert parse_column(result.stdout).shape == (4,)
+
     def test_latent_output_and_out_file(self, runner, fig1b_graph, tmp_path):
         out = tmp_path / "beta.csv"
         latent = tmp_path / "latent.csv"

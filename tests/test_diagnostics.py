@@ -239,6 +239,15 @@ class TestRateFit:
         assert fit.log_rate < 0
 
 
+class TestIterationsToGap:
+    def test_first_traced_iteration_within_the_gap_or_none(self, random8_instance):
+        res = dp.prox_log_admm_sharing(random8_instance, dp.SolveOptions(trace_every=1, max_iter=5))
+        objectives = res.trace.objectives
+        first_best = res.trace.iters[int(np.argmin(objectives))]
+        assert dp.bench.iterations_to_gap(res, objectives.min(), 0.0) == first_best
+        assert dp.bench.iterations_to_gap(res, objectives.min() - 1.0, 0.5) is None
+
+
 class TestSummaryRates:
     def test_rates_hold_when_f_star_moves_by_an_ulp(self):
         # an absolute 1e-14 gap floor sits near one ulp of f_star ~ 35 on

@@ -600,6 +600,15 @@ class TestFileFormats:
         dp.write_edge_list(again, tmp_path / "g2.txt")
         assert (tmp_path / "g.txt").read_text() == (tmp_path / "g2.txt").read_text()
 
+    def test_edge_list_round_trip_keeps_node_dims(self, tmp_path):
+        dag = dp.validate_dag(3, [(0, 1), (0, 2)], node_dims=[2, 1, 3])
+        path = tmp_path / "g.txt"
+        dp.write_edge_list(dag, path)
+        assert path.read_text() == "nodes 3\ndims 2 1 3\n0 1\n0 2\n"
+        again = dp.read_edge_list(path)
+        assert again == dag
+        assert again.node_dims == (2, 1, 3)
+
     def test_edge_list_comments_and_dims(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("# header\nnodes 2\ndims 2 1  # trailing\n0 1\n")
@@ -618,9 +627,11 @@ class TestFileFormats:
         [("nodes 2\n0 1\n1 0\n", dp.CycleDetected), ("nodes 2\n0 1\n0 1\n", dp.DuplicateEdge),
          ("nodes 2\n0 5\n", dp.IndexOutOfRange), ("nodes 2\ndims 1\n", dp.DimensionMismatch),
          ("nodes 0\n", ValueError), ("nodes\n", ValueError), ("nodes 2\n0 1.5\n", ValueError),
-         ("nodes 2\ndims 1 1\ndims 3 3\n", ValueError)],
+         ("nodes 2\ndims 1 1\ndims 3 3\n", ValueError), ("nodes 2\nnodes 2\n", ValueError),
+         ("dims 1 1\nnodes 2\n", ValueError), ("nodes 3\n0 1 2\n", ValueError),
+         ("# only a comment\n\n", ValueError)],
         ids=["cycle", "duplicate", "out of range", "dims", "no nodes", "bare nodes", "float",
-             "repeated dims"],
+             "repeated dims", "repeated nodes", "dims before nodes", "three ids", "no lines"],
     )
     def test_edge_list_errors_keep_their_type_and_name_the_file(self, tmp_path, text, error):
         path = tmp_path / "g.txt"

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 import dagprox as dp
-from oracles import central_difference_gradient, latent_penalty_bracket, warm_started_fit
+from oracles import (
+    central_difference_gradient,
+    latent_penalty_bracket,
+    stepwise_certified_fit,
+    warm_started_fit,
+)
 
 
 def chain_dag(n):
@@ -199,9 +204,10 @@ class TestFit:
     @pytest.mark.parametrize("frac", [0.0, 0.02, 0.1, 0.3])
     def test_chain_fit_takes_one_inner_iteration_per_step(self, small_problem, frac):
         dag, loss = small_problem
+        # every step takes the closed form; one sharing iteration certifies the last
         result = dp.fit(loss, dag, frac * dp.lambda_max(loss, dag))
         assert result.converged
-        assert result.inner_iters == result.outer_iterations
+        assert result.inner_iters == 1
 
     @pytest.mark.parametrize("frac", [0.02, 0.1, 0.3])
     def test_tree_fit_keeps_the_previous_warm_start(self, small_problem, frac):
@@ -304,18 +310,18 @@ def chain_path(fixtures_dir):
     response = dp.learn.load_response(fixtures_dir / "chain20_response.csv")
     dag = dp.read_edge_list(fixtures_dir / "chain20_graph.txt")
     loss = dp.LeastSquaresLoss(design, response)
-    inner_solve = dp.learn.prox_log_admm_sharing
+    closed_form = dp.learn.nested_prox
     points = []  # one list of outer-step points per fit
 
-    def recording_solve(*args, **kwargs):
-        res = inner_solve(*args, **kwargs)
-        points[-1].append(res.beta)
-        return res
+    def recording_prox(*args, **kwargs):
+        theta, beta, x = closed_form(*args, **kwargs)
+        points[-1].append(beta)
+        return theta, beta, x
 
     lam_hi = dp.lambda_max(loss, dag)
     sweep = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dp.learn, "prox_log_admm_sharing", recording_solve)
+        mp.setattr(dp.learn, "nested_prox", recording_prox)
         for lam in lam_hi * np.logspace(-3, 0, 10):
             points.append([])
             sweep.append((lam, dp.fit(loss, dag, lam), points[-1]))
@@ -341,7 +347,7 @@ class TestChainRecoveryFixture:
         # by more than the evaluator's own tolerance, and it is tight to the
         # inner tolerance tol_k of its step.  The chain's groups are nested,
         # so every step's prox and the evaluator's Omega are exact to
-        # rounding, and the relative gap lies in [-1.2e-13, 2.3e-13];
+        # rounding, and the relative gap lies in [-1.2e-13, 2.5e-13];
         # C = 32 is the bound for inexact steps.
         dag, loss, sweep = chain_path
         groups = dp.ancestor_groups(dag)
@@ -355,6 +361,86 @@ class TestChainRecoveryFixture:
                 tol_k = max(dp.learn.INNER_TOL_FLOOR, dp.learn.INNER_TOL_COEFF / rec.iter**2)
                 assert gap >= -1e-9
                 assert gap <= 32.0 * tol_k
+
+
+#: small nested families: a repeated group, weights other than 1, and coordinates in no group
+NESTED_FAMILIES = {
+    "repeated": ([[2], [1, 2], [1, 2], [0, 1, 2, 4]], [0.5, 1.0, 2.0, 1.5], 6),
+    "uncovered ends": ([[3, 4], [1, 2, 3, 4]], [2.0, 0.25], 6),
+}
+
+
+def assert_matches_stepwise_certification(loss, group_set, lam, accelerated=False, outer=None):
+    outer = outer or dp.OuterOptions()
+    result = dp.fit(loss, group_set, lam, outer=outer, accelerated=accelerated)
+    beta, status, outer_iters, _, objective = stepwise_certified_fit(
+        loss, group_set, lam, outer, accelerated=accelerated
+    )
+    assert (result.status, result.outer_iterations) == (status, outer_iters)
+    assert np.max(np.abs(result.beta - beta)) <= 1e-12 * max(1.0, np.max(np.abs(beta)))
+    assert abs(result.objective - objective) <= 1e-12 * abs(objective)
+
+
+class TestClosedFormSteps:
+    """Nested fits step by the closed form and certify only the step they return."""
+
+    @pytest.mark.parametrize("accelerated", [False, True])
+    def test_chain20_path_matches_stepwise_certification(self, chain_path, accelerated):
+        dag, loss, sweep = chain_path
+        for lam, _, _ in sweep:
+            assert_matches_stepwise_certification(loss, dp.ancestor_groups(dag), lam, accelerated)
+
+    @pytest.mark.parametrize("frac", [0.0, 0.3, 1.0, 2.0])
+    @pytest.mark.parametrize("family", NESTED_FAMILIES)
+    def test_small_nested_family_matches_stepwise_certification(self, family, frac):
+        groups, weights, d = NESTED_FAMILIES[family]
+        group_set = dp.build_index_map(groups, weights=weights, d=d)
+        assert group_set.nested_order is not None
+        rng = np.random.default_rng(11)
+        loss = dp.LeastSquaresLoss(rng.standard_normal((12, d)), rng.standard_normal(12))
+        assert_matches_stepwise_certification(loss, group_set, frac * dp.lambda_max(loss, group_set))
+
+    @pytest.mark.parametrize("accelerated", [False, True])
+    def test_fit_stopped_at_max_iter_matches_stepwise_certification(self, small_problem, accelerated):
+        dag, loss = small_problem
+        lam = 0.1 * dp.lambda_max(loss, dag)
+        outer = dp.OuterOptions(max_iter=5)
+        assert_matches_stepwise_certification(loss, dp.ancestor_groups(dag), lam, accelerated, outer)
+        result = dp.fit(loss, dag, lam, outer=outer, accelerated=accelerated)
+        assert (result.status, result.inner_iters) == ("max_iter", 1)
+
+    def test_unconverged_certification_warns(self, small_problem, monkeypatch):
+        # rounding keeps the exact step's residual above a 1e-300 floor; only
+        # the last of the five steps runs the sharing ADMM
+        dag, loss = small_problem
+        monkeypatch.setattr(dp.learn, "INNER_MAX_ITER", 1)
+        monkeypatch.setattr(dp.learn, "INNER_TOL_COEFF", 0.0)
+        monkeypatch.setattr(dp.learn, "INNER_TOL_FLOOR", 1e-300)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            dp.fit(loss, dag, 0.1 * dp.lambda_max(loss, dag), outer=dp.OuterOptions(max_iter=5))
+        assert [str(w.message) for w in caught] == [
+            "inner prox hit max_iter=1 at floor tolerance (outer iteration 5)"
+        ]
+
+    @pytest.mark.parametrize("edges", [None, TREE_EDGES], ids=["chain", "tree"])
+    def test_sharing_calls(self, small_problem, monkeypatch, edges):
+        # one certification per nested fit, the tree's warm-started solve at
+        # every step; either way the fit returns the last solve's beta
+        dag, loss = small_problem
+        if edges is not None:
+            dag = dp.validate_dag(6, edges)
+        solve = dp.learn.prox_log_admm_sharing
+        solved = []
+
+        def recording_solve(*args, **kwargs):
+            solved.append(solve(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(dp.learn, "prox_log_admm_sharing", recording_solve)
+        result = dp.fit(loss, dag, 0.1 * dp.lambda_max(loss, dag))
+        assert len(solved) == (result.outer_iterations if edges else 1)
+        assert result.beta.tobytes() == solved[-1].beta.tobytes()
 
 
 class TestDataAndModelFiles:
@@ -407,8 +493,9 @@ class TestDataAndModelFiles:
          ("# d: two\n0.5\n", "invalid literal for int() with base 10: 'two'"),
          ("", "no data"),
          ("# d: 2\n0.5\n1.5\n", "missing '# lambda:' header line"),
-         ("# d: 2\n# lambda: -1\n0.5\n1.5\n", "lambda must be finite and >= 0, got -1.0")],
-        ids=["value", "d_header", "empty", "no_lambda", "negative_lambda"],
+         ("# d: 2\n# lambda: -1\n0.5\n1.5\n", "lambda must be finite and >= 0, got -1.0"),
+         ("# d: 3\n# lambda: 0.5\n0.25\n-1.5\n", "header d=3 but 2 values")],
+        ids=["value", "d_header", "empty", "no_lambda", "negative_lambda", "count"],
     )
     def test_bad_model_file_is_named(self, tmp_path, text, message):
         # an empty file loaded as beta = [], lam = nan; the others did not name the file
